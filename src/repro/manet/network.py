@@ -84,9 +84,11 @@ class ManetNetwork:
         between topology changes, fail→repair cycles that restore an
         earlier topology, and identically-seeded sibling networks in a
         sweep all reuse a built graph instead of an O(n^2) rebuild.
-        Callers share the cached instance: annotating extra edge/graph
-        attributes is fine (the routing protocols do), mutating its
-        structure is not.
+        Callers share the cached instance, so it must not change:
+        neither its structure nor its edge attributes.  Only pure
+        functions of the topology may be memoized on it, in the
+        graph-level attribute dict (as min-power routing does);
+        battery-dependent weights belong in the caller's own copy.
         """
         radio = self.radio
         tx_range = self.tx_range

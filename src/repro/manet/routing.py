@@ -19,6 +19,9 @@ modeled as a per-discovery energy surcharge on the route's nodes.
 
 from __future__ import annotations
 
+import heapq
+import math
+
 import networkx as nx
 
 from repro.manet.network import ManetNetwork
@@ -153,22 +156,105 @@ class LifetimePredictionRouting(RoutingProtocol):
         # battery depletion (the route-request flooding of LPR reaches
         # the destination along paths that avoid tired forwarders), so
         # candidates are both energy-competitive and diverse; the
-        # lifetime criterion then arbitrates among them.
+        # lifetime criterion then arbitrates among them.  The weights
+        # live in a private adjacency: the graph is a shared cache.
+        adjacency: dict[int, dict[int, float]] = {n: {} for n in graph}
         for u, v, data in graph.edges(data=True):
             residual = max(network.node(u).residual_fraction, 1e-6)
-            data["tx_energy"] = data["tx_energy_unit"] / residual
-        try:
-            candidates = []
-            for path in nx.shortest_simple_paths(
-                    graph, src, dst, weight="tx_energy"):
-                candidates.append(path)
-                if len(candidates) >= self.n_candidates:
-                    break
-        except nx.NetworkXNoPath:
-            return None
+            weight = data["tx_energy_unit"] / residual
+            adjacency[u][v] = weight
+            adjacency[v][u] = weight
+        candidates = _k_shortest_paths(adjacency, src, dst,
+                                       self.n_candidates)
         if not candidates:
             return None
         return max(candidates, key=bottleneck_lifetime)
+
+
+def _dijkstra_path(adjacency: dict[int, dict[int, float]], src: int,
+                   dst: int, banned: set[int],
+                   banned_first_hops: set[int]) -> list[int] | None:
+    """Least-weight ``src``→``dst`` path that visits no ``banned`` node
+    and does not leave ``src`` towards a ``banned_first_hops`` node, or
+    ``None`` when there is none."""
+    if src == dst:
+        return [src]
+    done = set(banned)
+    done.add(src)
+    dist: dict[int, float] = {}
+    pred: dict[int, int] = {}
+    heap = []
+    for v, w in adjacency[src].items():
+        if v not in done and v not in banned_first_hops:
+            dist[v] = w
+            pred[v] = src
+            heap.append((w, v))
+    heapq.heapify(heap)
+    pop, push, inf = heapq.heappop, heapq.heappush, math.inf
+    while heap:
+        d, u = pop(heap)
+        if u in done:
+            continue
+        if u == dst:
+            path = [dst]
+            while path[-1] != src:
+                path.append(pred[path[-1]])
+            return path[::-1]
+        done.add(u)
+        for v, w in adjacency[u].items():
+            if v not in done:
+                nd = d + w
+                if nd < dist.get(v, inf):
+                    dist[v] = nd
+                    pred[v] = u
+                    push(heap, (nd, v))
+    return None
+
+
+def _k_shortest_paths(adjacency: dict[int, dict[int, float]], src: int,
+                      dst: int, k: int) -> list[list[int]]:
+    """Up to ``k`` loopless ``src``→``dst`` paths in increasing total
+    weight (Yen's algorithm) over a symmetric ``{u: {v: w}}`` adjacency.
+
+    A path's cost is the sum of its edge weights along the path.
+    Candidates pop in cost order, ties by discovery order, and each
+    simple path is offered once.
+    """
+    first = _dijkstra_path(adjacency, src, dst, set(), set())
+    if first is None:
+        return []
+
+    def cost(path: list[int]) -> float:
+        return sum(adjacency[a][b] for a, b in zip(path, path[1:]))
+
+    accepted: list[list[int]] = []
+    heap = [(cost(first), 0, first)]
+    queued = {tuple(first)}
+    counter = 1
+    while heap:
+        __, __, path = heapq.heappop(heap)
+        queued.discard(tuple(path))
+        accepted.append(path)
+        if len(accepted) == k:
+            break
+        # Spur off every prefix of the newest path: the spur may not
+        # revisit the prefix, nor take the next hop an accepted path
+        # with the same prefix already took.  (Yen bans those edges;
+        # all of them leave the spur node, so banning the hop suffices.)
+        for i in range(1, len(path)):
+            root = path[:i]
+            taken = {other[i] for other in accepted if other[:i] == root}
+            spur = _dijkstra_path(adjacency, root[-1], dst,
+                                  set(root[:-1]), taken)
+            if spur is None:
+                continue
+            candidate = root[:-1] + spur
+            key = tuple(candidate)
+            if key not in queued:
+                queued.add(key)
+                heapq.heappush(heap, (cost(candidate), counter, candidate))
+                counter += 1
+    return accepted
 
 
 #: The protocol lineup of the E9 bench.

@@ -165,6 +165,27 @@ def _require_fits(tg: TaskGraph, mesh: Mesh2D) -> list[str]:
     return names
 
 
+def _pair_energy(mesh: Mesh2D, tiles: list[Tile],
+                 energy: NocEnergyModel) -> list[list[float]]:
+    """``table[i][j]``: per-bit energy between ``tiles[i]`` and
+    ``tiles[j]`` — the exact ``energy.bit_energy(mesh.hops(...))``
+    float each mapping search would otherwise recompute per move."""
+    bit_energy = energy.bit_energy
+    hops = mesh.hops
+    return [[bit_energy(hops(a, b)) for b in tiles] for a in tiles]
+
+
+def _table_energy(edges: list[tuple[int, int, float]],
+                  pair_energy: list[list[float]],
+                  slot_of: list[int]) -> float:
+    """Communication energy of the placement ``slot_of[task] = slot``
+    over ``(src, dst, bits)`` task-index edges: the same floats, summed
+    in the same order, as :meth:`NocMapping.communication_energy`."""
+    return sum(
+        bits * pair_energy[slot_of[a]][slot_of[b]] for a, b, bits in edges
+    )
+
+
 def adhoc_mapping(tg: TaskGraph, mesh: Mesh2D) -> NocMapping:
     """Declaration order onto row-major tiles — the naive baseline."""
     names = _require_fits(tg, mesh)
@@ -229,8 +250,11 @@ def greedy_mapping(tg: TaskGraph, mesh: Mesh2D,
         n: sum(affinity[n].values()) for n in names
     }
     order = sorted(names, key=lambda n: -total_affinity[n])
-    free_tiles = set(mesh.tiles())
-    placed: dict[str, Tile] = {}
+    tiles = list(mesh.tiles())
+    tile_index = {tile: i for i, tile in enumerate(tiles)}
+    pair_energy = _pair_energy(mesh, tiles, energy)
+    free_tiles = set(tiles)
+    placed: dict[str, int] = {}  # task -> index into `tiles`
 
     # Seed: most-communicative task near the mesh centre.
     centre = Tile(mesh.width // 2, mesh.height // 2)
@@ -238,7 +262,7 @@ def greedy_mapping(tg: TaskGraph, mesh: Mesh2D,
     if not seed_options:
         raise ValueError(f"no compatible tile for task {order[0]!r}")
     first_tile = min(seed_options, key=lambda t: mesh.hops(t, centre))
-    placed[order[0]] = first_tile
+    placed[order[0]] = tile_index[first_tile]
     free_tiles.remove(first_tile)
 
     remaining = order[1:]
@@ -254,8 +278,9 @@ def greedy_mapping(tg: TaskGraph, mesh: Mesh2D,
         remaining.remove(best_task)
 
         def incremental_cost(tile: Tile) -> float:
+            row = pair_energy[tile_index[tile]]
             return sum(
-                bits * energy.bit_energy(mesh.hops(tile, placed[other]))
+                bits * row[placed[other]]
                 for other, bits in affinity[best_task].items()
                 if other in placed
             )
@@ -268,9 +293,11 @@ def greedy_mapping(tg: TaskGraph, mesh: Mesh2D,
                 f"no compatible free tile for task {best_task!r}"
             )
         best_tile = min(options, key=incremental_cost)
-        placed[best_task] = best_tile
+        placed[best_task] = tile_index[best_tile]
         free_tiles.remove(best_tile)
-    return NocMapping(mesh, placed)
+    return NocMapping(mesh, {
+        task: tiles[slot] for task, slot in placed.items()
+    })
 
 
 def simulated_annealing_mapping(
@@ -322,31 +349,31 @@ def simulated_annealing_mapping(
             ok &= compatibility.allows(names[slots[j]], tiles[i])
         return ok
 
-    pairs = [
-        (src, dst, bits) for src, dst, bits in tg.communication_pairs()
-    ]
     name_index = {n: i for i, n in enumerate(names)}
     edges = [
         (name_index[src], name_index[dst], bits)
-        for src, dst, bits in pairs
+        for src, dst, bits in tg.communication_pairs()
     ]
+    pair_energy = _pair_energy(mesh, tiles, energy)
+    # slot_of[task]: the slot (tile index) hosting task; the inverse
+    # of `slots`, kept in step with every swap and undo.
+    slot_of = [0] * len(names)
+    for slot, task in enumerate(slots):
+        if task >= 0:
+            slot_of[task] = slot
 
-    def tile_of_task() -> dict[int, Tile]:
-        return {
-            task: tiles[slot]
-            for slot, task in enumerate(slots) if task >= 0
-        }
+    def swap(i: int, j: int) -> None:
+        slots[i], slots[j] = slots[j], slots[i]
+        if slots[i] >= 0:
+            slot_of[slots[i]] = i
+        if slots[j] >= 0:
+            slot_of[slots[j]] = j
 
-    def cost(positions: dict[int, Tile]) -> float:
-        return sum(
-            bits * energy.bit_energy(
-                mesh.hops(positions[a], positions[b])
-            )
-            for a, b, bits in edges
-        )
-
-    positions = tile_of_task()
-    current = cost(positions)
+    # Every move re-sums all edges in order rather than applying an
+    # incident-edge delta: `current` then rounds exactly as a fresh
+    # evaluation, so `delta <= 0` (and with it the RNG stream) never
+    # shifts.
+    current = _table_energy(edges, pair_energy, slot_of)
     best_slots = slots[:]
     best_cost = current
 
@@ -360,9 +387,8 @@ def simulated_annealing_mapping(
             continue
         if not move_allowed(i, j):
             continue
-        slots[i], slots[j] = slots[j], slots[i]
-        positions = tile_of_task()
-        candidate = cost(positions)
+        swap(i, j)
+        candidate = _table_energy(edges, pair_energy, slot_of)
         delta = candidate - current
         if delta <= 0 or rng.random() < math.exp(
                 -delta / max(temperature, 1e-30)):
@@ -371,7 +397,7 @@ def simulated_annealing_mapping(
                 best_cost = current
                 best_slots = slots[:]
         else:
-            slots[i], slots[j] = slots[j], slots[i]
+            swap(i, j)
         temperature *= cooling
 
     placement = {
@@ -460,6 +486,7 @@ def branch_and_bound_mapping(
     energy = energy or NocEnergyModel()
     compatibility = compatibility or TileCompatibility()
     tiles = list(mesh.tiles())
+    pair_energy = _pair_energy(mesh, tiles, energy)
 
     affinity: dict[str, list[tuple[str, float]]] = {n: [] for n in names}
     for src, dst, bits in tg.communication_pairs():
@@ -475,8 +502,9 @@ def branch_and_bound_mapping(
         "placement": None,
     }
 
-    def recurse(depth: int, placed: dict[str, Tile],
-                used: set[Tile], cost_so_far: float) -> None:
+    # placed: task -> slot (index into `tiles`).
+    def recurse(depth: int, placed: dict[str, int],
+                used: set[int], cost_so_far: float) -> None:
         if cost_so_far >= best["cost"]:
             return
         if depth == len(order):
@@ -484,20 +512,23 @@ def branch_and_bound_mapping(
             best["placement"] = dict(placed)
             return
         task = order[depth]
-        for tile in tiles:
-            if tile in used or not compatibility.allows(task, tile):
+        for slot, tile in enumerate(tiles):
+            if slot in used or not compatibility.allows(task, tile):
                 continue
+            row = pair_energy[slot]
             increment = sum(
-                bits * energy.bit_energy(mesh.hops(tile, placed[other]))
+                bits * row[placed[other]]
                 for other, bits in affinity[task] if other in placed
             )
-            placed[task] = tile
-            used.add(tile)
+            placed[task] = slot
+            used.add(slot)
             recurse(depth + 1, placed, used, cost_so_far + increment)
             del placed[task]
-            used.remove(tile)
+            used.remove(slot)
 
     recurse(0, {}, set(), 0.0)
     if best["placement"] is None:
         raise ValueError("no feasible placement under the constraints")
-    return NocMapping(mesh, best["placement"])
+    return NocMapping(mesh, {
+        task: tiles[slot] for task, slot in best["placement"].items()
+    })

@@ -75,18 +75,14 @@ def rs_hurst(x) -> float:
     log_sizes, log_rs = [], []
     for size in sizes:
         n_blocks = arr.size // size
-        ratios = []
-        for b in range(n_blocks):
-            block = arr[b * size:(b + 1) * size]
-            dev = block - block.mean()
-            z = np.cumsum(dev)
-            r = z.max() - z.min()
-            s = block.std(ddof=0)
-            if s > 0 and r > 0:
-                ratios.append(r / s)
-        if ratios:
+        blocks = arr[:n_blocks * size].reshape(n_blocks, size)
+        z = np.cumsum(blocks - blocks.mean(axis=1, keepdims=True), axis=1)
+        r = z.max(axis=1) - z.min(axis=1)
+        s = blocks.std(axis=1, ddof=0)
+        valid = (s > 0) & (r > 0)
+        if valid.any():
             log_sizes.append(np.log(size))
-            log_rs.append(np.log(np.mean(ratios)))
+            log_rs.append(np.log(np.mean(r[valid] / s[valid])))
     if len(log_sizes) < 3:
         raise ValueError("not enough valid block sizes for R/S fit")
     slope, _ = np.polyfit(log_sizes, log_rs, 1)

@@ -95,11 +95,16 @@ class OnOffSource:
                 )[0])
                 start, end = t, min(t + duration, n_slots)
                 first = int(start)
-                last = int(np.ceil(end))
-                for slot in range(first, min(last, n_slots)):
-                    overlap = min(end, slot + 1) - max(start, slot)
-                    if overlap > 0:
-                        work[slot] += overlap * self.peak_rate
+                stop = min(int(np.ceil(end)), n_slots)
+                # Only the first and last slot can be partly covered;
+                # every slot in between overlaps the period by exactly
+                # 1.0 and takes the full peak rate.
+                for slot in {first, stop - 1}:
+                    if first <= slot < stop:
+                        overlap = min(end, slot + 1) - max(start, slot)
+                        if overlap > 0:
+                            work[slot] += overlap * self.peak_rate
+                work[first + 1:stop - 1] += self.peak_rate
                 t += duration
             else:
                 t += float(pareto_sojourns(
