@@ -23,13 +23,6 @@ supervisor on the same derived seeds) merges byte-identically to the
 fault-free single-worker run — the end-to-end form of the chaos
 determinism matrix in ``tests/parallel/test_chaos.py``.
 
-A scheduler-backend assertion rides along too: the calendar-queue
-backend (``docs/des_kernel.md``, "Scheduler backends") must merge
-byte-identically to the heap backend on the kernel-bound r1, serial
-and fanned — and the CI ``parallel`` job reruns this whole module
-under ``REPRO_SCHEDULER=calendar`` so every gate holds on every
-backend.
-
 A speedup assertion deliberately does **not** live here: wall-clock
 ratios depend on the runner's core count, so the CI job records the
 measured speedup in its log (see ``repro bench --replicas``) instead
@@ -40,7 +33,6 @@ from __future__ import annotations
 
 import json
 
-from repro.des import use_scheduler
 from repro.parallel import FaultPlan, replica_seed, run_replicated
 
 #: The experiments whose published tables the gate protects.
@@ -85,28 +77,6 @@ def bench_parallel_equivalence_probe_slo():
               if entry.get("kind") == "timeseries"]
     assert any(key.startswith("dpm_energy_j") for key in series), (
         "e14: merged report lost the dpm_energy_j series"
-    )
-
-
-def bench_parallel_equivalence_calendar_backend():
-    """Scheduler-backend gate: the calendar queue merges
-    byte-identically to the heap on the heavyweight kernel-bound
-    experiment, serial and fanned — the end-to-end form of
-    ``tests/des/test_scheduler_matrix.py``.  The whole module also
-    reruns on the calendar backend via ``REPRO_SCHEDULER=calendar``
-    (see ``conftest.py``), which is what the CI ``parallel`` job
-    does."""
-    with use_scheduler("heap"):
-        heap = run_replicated("r1", replicas=_REPLICAS, workers=1)
-    with use_scheduler("calendar"):
-        serial = run_replicated("r1", replicas=_REPLICAS, workers=1)
-        fanned = run_replicated("r1", replicas=_REPLICAS, workers=4)
-    assert _stripped(serial) == _stripped(heap), (
-        "r1: calendar-backend merge differs from the heap backend"
-    )
-    assert _stripped(fanned) == _stripped(heap), (
-        "r1: calendar-backend workers=4 merge differs from the heap "
-        "backend"
     )
 
 

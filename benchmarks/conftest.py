@@ -11,38 +11,14 @@ the same code path).
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro import experiments
-from repro.des import set_default_scheduler
 
 #: One run per (experiment, seed) across the whole benchmark session:
 #: several bench functions assert on different panels of the same
 #: experiment, and only the first requester pays for (and times) it.
 _RESULTS: dict[tuple[str, int], experiments.ExperimentResult] = {}
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _scheduler_backend():
-    """Honor ``REPRO_SCHEDULER`` for the whole benchmark session.
-
-    The CI bench jobs rerun the perf guard and the parallel
-    equivalence gate on every scheduler backend
-    (``REPRO_SCHEDULER=calendar pytest benchmarks/...``); backends are
-    byte-equivalent by contract, so every assertion in this directory
-    must hold unchanged whichever one is selected.
-    """
-    name = os.environ.get("REPRO_SCHEDULER")
-    if not name:
-        yield
-        return
-    previous = set_default_scheduler(name)
-    try:
-        yield
-    finally:
-        set_default_scheduler(previous)
 
 
 @pytest.fixture

@@ -144,31 +144,10 @@ def _cmd_list() -> int:
     return 0
 
 
-def _select_scheduler(name: str, command: str) -> int:
-    """Make ``name`` the process-wide DES scheduler backend.
-
-    Module state propagates to fork-context replica workers, so one
-    selection covers parallel sweeps too.  Returns 0, or 2 with a
-    message on an unknown name.
-    """
-    from repro.des import scheduler_names, set_default_scheduler
-
-    try:
-        set_default_scheduler(name)
-    except ValueError:
-        print(f"{command}: unknown scheduler {name!r} (available: "
-              f"{', '.join(scheduler_names())})", file=sys.stderr)
-        return 2
-    return 0
-
-
 def _cmd_run(args) -> int:
     ids = _resolve_ids(args.experiments)
     if ids is None:
         return 2
-    if getattr(args, "scheduler", None) is not None:
-        if _select_scheduler(args.scheduler, "run") != 0:
-            return 2
     if args.scenario is not None:
         if not Path(args.scenario).is_file():
             print(f"run: no such scenario file: {args.scenario}",
@@ -613,13 +592,10 @@ def _cmd_bench(args) -> int:
             print("bench: --live shows replica progress and needs "
                   "--replicas N", file=sys.stderr)
             return 2
-        if args.scheduler is not None:
-            if _select_scheduler(args.scheduler, "bench") != 0:
-                return 2
         document = perf.run_bench(
             ids, repeat=args.repeat, seed=args.seed,
             workers=args.workers, replicas=args.replicas,
-            live=args.live, scheduler=args.scheduler,
+            live=args.live,
             progress=lambda exp_id: print(
                 f"bench: {exp_id} (repeat={args.repeat})",
                 file=sys.stderr),
@@ -761,11 +737,6 @@ def main(argv: list[str] | None = None) -> int:
         help="render live per-replica progress (sim-time, events/sec) "
              "to stderr while a replicated sweep runs; display only — "
              "the merged payload is unchanged")
-    run_parser.add_argument(
-        "--scheduler", default=None, metavar="NAME",
-        help="DES scheduler backend for every Environment in this "
-             "run (see repro.des.scheduler_names(): heap, calendar); "
-             "payloads are byte-identical across backends")
 
     trace_parser = subparsers.add_parser(
         "trace", help="run one experiment with tracing, export JSONL")
@@ -934,10 +905,6 @@ def main(argv: list[str] | None = None) -> int:
         "--live", action="store_true",
         help="with --replicas > 1: live per-replica progress to "
              "stderr while each replicated repetition runs")
-    bench_parser.add_argument(
-        "--scheduler", default=None, metavar="NAME",
-        help="DES scheduler backend to measure under (heap, "
-             "calendar); recorded in the document's meta")
 
     report_parser = subparsers.add_parser(
         "report",

@@ -37,17 +37,6 @@ from repro.des.events import (
     URGENT,
 )
 from repro.des.monitor import LevelMonitor, Monitor
-from repro.des.schedulers import (
-    CalendarQueueScheduler,
-    HeapScheduler,
-    SchedulerBackend,
-    default_scheduler,
-    make_scheduler,
-    register_scheduler,
-    scheduler_names,
-    set_default_scheduler,
-    use_scheduler,
-)
 from repro.des.resources import (
     PriorityRequest,
     PriorityResource,
@@ -82,13 +71,4 @@ __all__ = [
     "StoreGet",
     "Monitor",
     "LevelMonitor",
-    "SchedulerBackend",
-    "HeapScheduler",
-    "CalendarQueueScheduler",
-    "register_scheduler",
-    "scheduler_names",
-    "make_scheduler",
-    "default_scheduler",
-    "set_default_scheduler",
-    "use_scheduler",
 ]

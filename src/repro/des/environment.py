@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from heapq import heappop, heappush
 from itertools import count
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -15,7 +16,6 @@ from repro.des.events import (
     Process,
     Timeout,
 )
-from repro.des.schedulers import SchedulerBackend, make_scheduler
 from repro.obs.context import active_metrics, active_probe, active_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -139,17 +139,10 @@ class Environment:
     Time is a float in model units (the models in this repository use
     seconds unless stated otherwise).  Events scheduled at equal times are
     ordered by priority, then insertion order, which makes every run with
-    the same seed exactly reproducible — on **every** scheduler backend:
-    the queue entry is the tuple ``(time, priority, seq, event)`` and
-    ``seq`` is unique, so the execution order is a property of the
-    entries, not of the structure holding them.
-
-    The structure itself is pluggable (see :mod:`repro.des.schedulers`):
-    ``scheduler`` accepts a registered backend name (``"heap"``,
-    ``"calendar"``), a :class:`~repro.des.schedulers.SchedulerBackend`
-    instance, or a factory; ``None`` uses the process default
-    (:func:`repro.des.set_default_scheduler`, which is what
-    ``repro run/bench --scheduler NAME`` flips).
+    the same seed exactly reproducible: the queue is a binary heap
+    (:mod:`heapq`) of ``(time, priority, seq, event)`` tuples and ``seq``
+    is unique, so tuple comparison never reaches the event and the
+    execution order is a property of the entries alone.
 
     Examples
     --------
@@ -172,21 +165,16 @@ class Environment:
         tracer: "Tracer | None" = None,
         metrics: "MetricRegistry | None" = None,
         probe: "Probe | None" = None,
-        scheduler: "str | SchedulerBackend | None" = None,
     ):
         self._now = float(initial_time)
-        self._scheduler = make_scheduler(scheduler)
-        # Bound once: the schedule/run hot paths call these without
-        # re-resolving backend attributes per event.
-        self._push = self._scheduler.push
-        self._pop_due = self._scheduler.pop_due
+        #: The event queue; its length is the number of pending events.
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = count()
         self._next_seq = self._seq.__next__
         self._active_process: Process | None = None
         self._n_scheduled = 0
         self._n_executed = 0
         self._peak_heap = 0
-        self._pending = 0
         self._probe_next = _INF
         # Fused observability gate: the run loop pays exactly one float
         # comparison per event (``event_time >= self._hook_next``).
@@ -226,16 +214,6 @@ class Environment:
     def active_process(self) -> Process | None:
         """The process currently being resumed, if any."""
         return self._active_process
-
-    @property
-    def scheduler(self) -> SchedulerBackend:
-        """The scheduler backend holding this environment's queue."""
-        return self._scheduler
-
-    @property
-    def scheduler_name(self) -> str:
-        """Registry name of the active scheduler backend."""
-        return self._scheduler.name
 
     @property
     def tracer(self) -> "Tracer | None":
@@ -292,8 +270,8 @@ class Environment:
         ``delay < 0`` guard alone would admit it and the NaN timestamp
         would then poison the queue order nondeterministically (every
         comparison involving the entry is false, so *where* it
-        surfaces depends on the backend's internal layout).  ``+inf``
-        is rejected for the same reason it is useless: the event could
+        surfaces in the heap depends on its layout).  ``+inf`` is
+        rejected for the same reason it is useless: the event could
         never fire, but would pin ``peek()`` and corrupt the clock if
         it ever drained.
         """
@@ -301,12 +279,23 @@ class Environment:
             if delay < 0.0:
                 raise ValueError(f"negative delay {delay}")
             raise ValueError(f"non-finite delay {delay}")
-        time = self._now + delay
-        self._push((time, priority, self._next_seq(), event))
+        self._schedule_fast(event, self._now + delay, priority)
+
+    def _schedule_fast(self, event: Event, time: float,
+                       priority: int = NORMAL) -> None:
+        """Queue ``event`` at the *absolute*, pre-validated ``time``.
+
+        The one place that pushes, counts and traces a queue entry.
+        Kernel code that already knows the delay is valid calls it
+        directly: :class:`~repro.des.events.Timeout` after validating
+        its delay once, and zero-delay triggers (``Event.succeed``,
+        resource grants, the process bootstrap) with ``env._now``.
+        """
+        heap = self._heap
+        heappush(heap, (time, priority, self._next_seq(), event))
         self._n_scheduled += 1
         _KERNEL.events_scheduled += 1
-        pending = self._pending + 1
-        self._pending = pending
+        pending = len(heap)
         if pending > self._peak_heap:
             self._peak_heap = pending
             if pending > _KERNEL.peak_heap_depth:
@@ -317,34 +306,9 @@ class Environment:
                 at=time, priority=priority,
             )
 
-    def _schedule_fast(self, event: Event, time: float) -> None:
-        """Hot-path twin of :meth:`schedule` for pre-validated events.
-
-        Takes the *absolute* timestamp and assumes NORMAL priority;
-        :class:`~repro.des.events.Timeout` calls this after validating
-        its delay once, skipping the re-validation and the
-        ``now + delay`` recomputation a ``schedule()`` round trip
-        would pay.  Keep the bookkeeping in lockstep with
-        :meth:`schedule` — both must count and trace identically.
-        """
-        self._push((time, NORMAL, self._next_seq(), event))
-        self._n_scheduled += 1
-        _KERNEL.events_scheduled += 1
-        pending = self._pending + 1
-        self._pending = pending
-        if pending > self._peak_heap:
-            self._peak_heap = pending
-            if pending > _KERNEL.peak_heap_depth:
-                _KERNEL.peak_heap_depth = pending
-        if self._emit_schedule:
-            self._tracer.emit(
-                self._now, "schedule", type(event).__name__,
-                at=time, priority=NORMAL,
-            )
-
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` if none)."""
-        return self._scheduler.peek_time()
+        return self._heap[0][0] if self._heap else _INF
 
     def _fire_hooks(self, event_time: float, event: Event) -> None:
         """Cold half of the fused observability gate.
@@ -376,32 +340,29 @@ class Environment:
             if not owners:
                 tracer.emit(
                     event_time, "step", type(event).__name__,
-                    ok=event._ok, pending=self._pending,
+                    ok=event._ok, pending=len(self._heap),
                 )
             elif len(owners) == 1:
                 tracer.emit(
                     event_time, "step", type(event).__name__,
-                    ok=event._ok, pending=self._pending,
+                    ok=event._ok, pending=len(self._heap),
                     proc=owners[0],
                 )
             else:
                 tracer.emit(
                     event_time, "step", type(event).__name__,
-                    ok=event._ok, pending=self._pending,
+                    ok=event._ok, pending=len(self._heap),
                     proc=owners[0], procs=tuple(owners),
                 )
 
     def step(self) -> None:
         """Process exactly one event (the earliest scheduled one)."""
-        entry = self._pop_due(_INF)
-        if entry is None:
+        if not self._heap:
             raise EmptySchedule("no more events")
-        event_time = entry[0]
-        event = entry[3]
+        event_time, _, _, event = heappop(self._heap)
         self._now = event_time
         self._n_executed += 1
         _KERNEL.events_executed += 1
-        self._pending -= 1
         if event_time >= self._hook_next:
             self._fire_hooks(event_time, event)
         callbacks, event.callbacks = event.callbacks, None
@@ -460,7 +421,7 @@ class Environment:
                 )
             if until.processed:
                 return until.value
-            while self._pending:
+            while self._heap:
                 self.step()
                 if until.processed:
                     return until.value
@@ -479,20 +440,15 @@ class Environment:
                 )
 
         # The fused hot loop.  Mirrors step() exactly (keep the two in
-        # sync); inlined here so the per-event cost is one backend
-        # call, the counter increments and a single hook comparison.
-        pop_due = self._pop_due
+        # sync); inlined here so the per-event cost is one heappop,
+        # the counter increments and a single hook comparison.
+        heap = self._heap
         kernel = _KERNEL
-        while True:
-            entry = pop_due(horizon)
-            if entry is None:
-                break
-            event_time = entry[0]
-            event = entry[3]
+        while heap and heap[0][0] <= horizon:
+            event_time, _, _, event = heappop(heap)
             self._now = event_time
             self._n_executed += 1
             kernel.events_executed += 1
-            self._pending -= 1
             if event_time >= self._hook_next:
                 self._fire_hooks(event_time, event)
             callbacks, event.callbacks = event.callbacks, None
@@ -516,9 +472,9 @@ class Environment:
             "events_scheduled": self._n_scheduled,
             "events_executed": self._n_executed,
             "peak_heap_depth": self._peak_heap,
-            "pending": self._pending,
+            "pending": len(self._heap),
             "now": self._now,
         }
 
     def __repr__(self) -> str:
-        return f"Environment(now={self._now}, pending={self._pending})"
+        return f"Environment(now={self._now}, pending={len(self._heap)})"

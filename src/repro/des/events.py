@@ -105,7 +105,8 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        env = self.env
+        env._schedule_fast(self, env._now)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -172,7 +173,9 @@ class Process(Event):
 
     A ``Process`` is itself an event that triggers when the generator
     terminates, so processes can wait for each other by yielding the
-    process object.
+    process object.  One is spawned per simulated activity (per packet
+    in the NoC models), so the constructor sets the event fields inline
+    like :class:`Timeout` does.
     """
 
     __slots__ = ("_generator", "_name", "_trace_id", "_target")
@@ -180,14 +183,21 @@ class Process(Event):
     def __init__(self, env: "Environment", generator):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
         self._generator = generator
-        self._name = getattr(generator, "__name__", str(generator))
-        tracer = env.tracer
+        try:
+            self._name = generator.__name__
+        except AttributeError:
+            self._name = str(generator)
+        tracer = env._tracer
         if tracer is not None:
             self._trace_id = tracer.next_id()
             tracer.emit(
-                env.now, "process-start", self.name, id=self._trace_id,
+                env.now, "process-start", self._name, id=self._trace_id,
             )
         else:
             self._trace_id = None
@@ -197,7 +207,7 @@ class Process(Event):
         init._ok = True
         init._value = None
         init.callbacks.append(self._resume)
-        env.schedule(init, priority=URGENT)
+        env._schedule_fast(init, env._now, URGENT)
         self._target: Event | None = init
 
     @property
@@ -235,7 +245,8 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value of ``event``."""
-        self.env._active_process = self
+        env = self.env
+        env._active_process = self
         while True:
             try:
                 if event._ok:
@@ -246,45 +257,44 @@ class Process(Event):
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
-                if self._trace_id is not None \
-                        and self.env.tracer is not None:
-                    self.env.tracer.emit(
-                        self.env.now, "process-end", self.name,
+                if self._trace_id is not None and env._tracer is not None:
+                    env._tracer.emit(
+                        env._now, "process-end", self._name,
                         id=self._trace_id, ok=True,
                     )
-                self.env.schedule(self)
+                env._schedule_fast(self, env._now)
                 break
             except BaseException as error:
                 self._ok = False
                 self._value = error
-                if self._trace_id is not None \
-                        and self.env.tracer is not None:
-                    self.env.tracer.emit(
-                        self.env.now, "process-end", self.name,
+                if self._trace_id is not None and env._tracer is not None:
+                    env._tracer.emit(
+                        env._now, "process-end", self._name,
                         id=self._trace_id, ok=False,
                         error=type(error).__name__,
                     )
-                self.env.schedule(self)
+                env._schedule_fast(self, env._now)
                 break
 
             if not isinstance(next_target, Event):
-                self.env._active_process = None
+                env._active_process = None
                 raise TypeError(
                     f"process yielded {next_target!r}, which is not an Event"
                 )
-            if next_target.env is not self.env:
-                self.env._active_process = None
+            if next_target.env is not env:
+                env._active_process = None
                 raise ValueError(
                     "process yielded an event from a different environment"
                 )
-            if next_target.callbacks is not None:
+            callbacks = next_target.callbacks
+            if callbacks is not None:
                 # Event still pending or queued: wait for it.
-                next_target.callbacks.append(self._resume)
+                callbacks.append(self._resume)
                 self._target = next_target
                 break
             # Event already processed: feed its value back immediately.
             event = next_target
-        self.env._active_process = None
+        env._active_process = None
 
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", str(self._generator))

@@ -97,6 +97,9 @@ class NocNetwork:
         Bit-energy figures for the energy account.
     route:
         Routing function ``(mesh, src, dst) -> [tiles]``; XY default.
+        It must be deterministic (XY and west-first are): the links of
+        a ``(src, dst)`` pair are routed once, on the first packet
+        between them, and every later packet reuses that link tuple.
     """
 
     def __init__(
@@ -121,6 +124,7 @@ class NocNetwork:
         self._links = {
             link: Resource(env, capacity=1) for link in mesh.links()
         }
+        self._paths: dict[tuple[Tile, Tile], tuple[Resource, ...]] = {}
         self._uid = itertools.count()
         self.stats = NocNetworkStats()
         registry = getattr(env, "metrics", None)
@@ -153,19 +157,29 @@ class NocNetwork:
         """
 
         def transfer():
-            path = self.route(self.mesh, packet.src, packet.dst)
-            hops = len(path) - 1
-            for link in route_links(path):
-                with self._links[link].request() as claim:
+            # Looked up inside the process body, so an off-mesh
+            # endpoint fails the process at its first step.
+            links = self._paths.get((packet.src, packet.dst))
+            if links is None:
+                links = self._route_links(packet.src, packet.dst)
+            hold = (self.router_latency
+                    + packet.size_bits / self.link_bandwidth)
+            env = self.env
+            for link in links:
+                with link.request() as claim:
                     yield claim
-                    yield self.env.timeout(
-                        self.router_latency
-                        + packet.size_bits / self.link_bandwidth
-                    )
-            self._account(packet, hops)
+                    yield env.timeout(hold)
+            self._account(packet, len(links))
             return packet
 
         return self.env.process(transfer())
+
+    def _route_links(self, src: Tile, dst: Tile) -> tuple[Resource, ...]:
+        """Route ``src -> dst`` and cache the link resources it crosses."""
+        path = self.route(self.mesh, src, dst)
+        links = tuple(self._links[link] for link in route_links(path))
+        self._paths[(src, dst)] = links
+        return links
 
     def _account(self, packet: NocPacket, hops: int) -> None:
         self.stats.delivered += 1

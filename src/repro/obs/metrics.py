@@ -182,10 +182,25 @@ class Histogram(Metric):
         self._max_samples = max_samples
 
     def observe(self, value: float) -> None:
-        """Fold one observation into the distribution."""
-        self.stats.add(value)
+        """Fold one observation into the distribution.
+
+        Packet-scale models call this per grant and per delivery, so
+        the Welford update of :meth:`SummaryStats.add` is inlined here:
+        the same arithmetic in the same order, so the same floats.
+        """
+        value = float(value)
+        stats = self.stats
+        stats.count += 1
+        stats.total += value
+        delta = value - stats._mean
+        stats._mean += delta / stats.count
+        stats._m2 += delta * (value - stats._mean)
+        if value < stats.minimum:
+            stats.minimum = value
+        if value > stats.maximum:
+            stats.maximum = value
         if len(self.values) < self._max_samples:
-            self.values.append(float(value))
+            self.values.append(value)
 
     @property
     def count(self) -> int:

@@ -68,16 +68,20 @@ class TestProcess:
 
     def test_non_generator_rejected(self):
         env = Environment()
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="is not a generator"):
             env.process(lambda: None)
+        assert env.perf_stats()["events_scheduled"] == 0
 
     def test_yield_non_event_raises(self):
         env = Environment()
         def bad(env):
             yield 42
         env.process(bad(env))
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError,
+                           match="process yielded 42, which is not an "
+                                 "Event"):
             env.run()
+        assert env.active_process is None
 
     def test_yield_foreign_event_raises(self):
         env1 = Environment()
@@ -85,8 +89,21 @@ class TestProcess:
         def bad(env):
             yield env2.timeout(1)
         env1.process(bad(env1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="process yielded an event from a "
+                                 "different environment"):
             env1.run()
+        assert env1.active_process is None
+
+    def test_name_is_the_generator_function(self):
+        env = Environment()
+        def worker(env):
+            yield env.timeout(1)
+        process = env.process(worker(env))
+        assert process.name == "worker"
+        assert repr(process) == "<Process worker alive>"
+        env.run()
+        assert repr(process) == "<Process worker dead>"
 
     def test_uncaught_process_exception_propagates(self):
         env = Environment()

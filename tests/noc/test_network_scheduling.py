@@ -18,6 +18,8 @@ from repro.noc import (
     packet_size_sweep,
     run_packet_size_trial,
     video_surveillance_apcg,
+    west_first_route,
+    xy_route,
 )
 from repro.noc.mapping import NocMapping
 
@@ -78,6 +80,55 @@ class TestNocNetwork:
             NocNetwork(env, Mesh2D(2, 2), link_bandwidth=0.0)
         with pytest.raises(ValueError):
             NocNetwork(env, Mesh2D(2, 2), router_latency=-1.0)
+
+
+class TestLinkCache:
+    def _eastbound_conflict(self, route):
+        # A long packet holds (1,0)->(2,0).  XY routes the eastbound
+        # packet through that link; west-first turns north first and
+        # never touches it.
+        env = Environment()
+        network = NocNetwork(env, Mesh2D(3, 2), link_bandwidth=1e6,
+                             router_latency=0.0, route=route)
+        network.send(network.new_packet(Tile(1, 0), Tile(2, 0), 10e6))
+        probe = network.send(network.new_packet(Tile(0, 0), Tile(2, 1),
+                                                1e6 - 32.0))
+        env.run(until=probe)
+        return env.now
+
+    def test_cached_links_follow_the_route_function(self):
+        assert self._eastbound_conflict(west_first_route) == \
+            pytest.approx(3.0)
+        assert self._eastbound_conflict(xy_route) > 10.0
+
+    def test_each_pair_is_routed_once(self):
+        calls = []
+
+        def counting_route(mesh, src, dst):
+            calls.append((src, dst))
+            return xy_route(mesh, src, dst)
+
+        env = Environment()
+        network = NocNetwork(env, Mesh2D(3, 3), route=counting_route)
+        for _ in range(3):
+            network.send(network.new_packet(Tile(0, 0), Tile(2, 2), 64.0))
+        network.send(network.new_packet(Tile(2, 2), Tile(0, 0), 64.0))
+        env.run()
+        assert calls == [(Tile(0, 0), Tile(2, 2)), (Tile(2, 2), Tile(0, 0))]
+        assert network.stats.delivered == 4
+        assert network.stats.hop_count.mean == 4
+
+    def test_off_mesh_packet_fails_at_its_first_step(self):
+        env = Environment()
+        network = NocNetwork(env, Mesh2D(2, 2))
+        packet = network.new_packet(Tile(0, 0), Tile(5, 5), 64.0)
+        process = network.send(packet)  # sending itself does not raise
+        assert process.is_alive
+        with pytest.raises(ValueError, match="outside"):
+            env.run()
+        assert env.now == 0.0
+        assert not process.ok
+        assert network.stats.delivered == 0
 
 
 def scheduling_problem():

@@ -226,19 +226,3 @@ class TestBaseline:
         assert perf.validate_document(document) == []
         ids = document["meta"]["ids"]
         assert ids == ["e3", "e14", "r1"]
-
-    def test_committed_calendar_baseline_matches_heap(self):
-        # The per-backend baseline must describe the same science:
-        # stripped of timings (which drops the meta ``scheduler``
-        # marker too), the two committed documents are byte-identical.
-        calendar = BASELINE.with_name("BENCH_perf_calendar.json")
-        assert calendar.is_file(), (
-            "benchmarks/baseline/BENCH_perf_calendar.json must be "
-            "committed")
-        document = perf.load_document(calendar)
-        assert perf.validate_document(document) == []
-        assert document["meta"]["scheduler"] == "calendar"
-        heap = perf.strip_timings(perf.load_document(BASELINE))
-        stripped = perf.strip_timings(document)
-        assert (json.dumps(stripped, sort_keys=True)
-                == json.dumps(heap, sort_keys=True))

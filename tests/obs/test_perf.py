@@ -184,13 +184,13 @@ class TestProfiler:
         report = Profiler(mode="cprofile").profile(_two_process_sim, 30)
         assert report.hotspots
         # The run loop is inlined in Environment.run; the per-event
-        # marker in a profile is the scheduler backend's pop_due.
+        # marker in a profile is its heappop on the event queue.
         pop_rows = [s for s in report.hotspots
-                    if s.function.endswith(":pop_due")]
-        assert pop_rows, "the backend's pop_due must appear in the profile"
-        # 2 bootstraps + 30 + 30 timeouts + 2 process-end events, plus
-        # the final empty pop that terminates the drain.
-        assert pop_rows[0].calls == 65
+                    if s.function.endswith("heappop")]
+        assert pop_rows, "the queue's heappop must appear in the profile"
+        # 2 bootstraps + 30 + 30 timeouts + 2 process-end events; the
+        # loop tests the heap before popping, so there is no empty pop.
+        assert pop_rows[0].calls == 64
 
     def test_cprofile_attributes_processes(self):
         report = Profiler(mode="cprofile").profile(_two_process_sim, 30)
