@@ -170,10 +170,9 @@ def _run_replica(payload: tuple) -> ReplicaResult:
         plan = FaultPlan.from_env()
     if plan is not None:
         plan.apply(index, attempt)
-    # Finalize any objects inherited from the parent (or a previous
-    # task in this process) *before* resetting the counters: suspended
-    # simulation generators schedule cleanup events when collected,
-    # which would otherwise leak into this replica's snapshot.
+    # Collect any objects inherited from the parent (or a previous
+    # task in this process) *before* the timed run, so that freeing
+    # them is not charged to this replica.
     gc.collect()
     counters = kernel_counters()
     counters.reset()
