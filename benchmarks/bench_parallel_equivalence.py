@@ -25,8 +25,9 @@ determinism matrix in ``tests/parallel/test_chaos.py``.
 
 A speedup assertion deliberately does **not** live here: wall-clock
 ratios depend on the runner's core count, so the CI job records the
-measured speedup in its log (see ``repro bench --replicas``) instead
-of gating on it where a loaded 2-core host would flake.
+measured speedup in its log (``report.wall_seconds`` of ``repro run e3
+--replicas 8 --workers 1`` vs ``--workers 4``) instead of gating on it
+where a loaded 2-core host would flake.
 """
 
 from __future__ import annotations

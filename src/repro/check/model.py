@@ -512,8 +512,7 @@ def verify_model(obj: object) -> list[Diagnostic]:
 
     Accepts an :class:`ApplicationGraph`, :class:`TaskGraph` or
     :class:`Platform` directly, or a dict of :func:`verify_design`
-    keyword arguments for cross-object checks — the shape the
-    experiment ``models=`` hook returns.
+    keyword arguments for cross-object checks.
     """
     if isinstance(obj, ApplicationGraph):
         return verify_application(obj)

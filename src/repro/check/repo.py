@@ -2,7 +2,7 @@
 
 :func:`check_repository` is what ``repro check`` and CI run: the
 Layer-1 model verifier over every model the repository ships (the
-experiment registry's ``models=`` providers plus the built-in catalog
+experiment registry's ``scenario=`` hooks plus the built-in catalog
 below), the Layer-2 simulation lint, and the Layer-3 flow analyzer
 (:mod:`repro.check.simflow`), both over ``src/``, ``benchmarks/``,
 and ``examples/``.

@@ -15,16 +15,14 @@ Usage::
     python -m repro trace e14             # record a kernel event trace
     python -m repro report e6             # run-report digest
     python -m repro report r1 --probe --html dash.html
-    python -m repro report BENCH_perf.json --html bench.html
+    python -m repro report out/f1.json --html f1.html
     python -m repro check --strict        # static model + sim lint
     python -m repro check corpus/s0007.json   # verify scenario files
     python -m repro scenario export e3 --out scenarios/
     python -m repro scenario generate --count 100 --seed 7 --out corpus/
     python -m repro scenario sweep corpus/   # differential merge gate
     python -m repro run e4 --scenario corpus/s0007.json
-    python -m repro bench e3 --repeat 3 --out BENCH_perf.json
-    python -m repro bench e3 --profile    # hotspots + flamegraph file
-    python -m repro bench --compare benchmarks/baseline/BENCH_perf.json
+    python -m repro run e16 --profile     # hotspots + flamegraph file
 
 Every experiment goes through :func:`repro.experiments.run`, the same
 code path the ``benchmarks/`` suite asserts on, so the CLI output *is*
@@ -36,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable
 
@@ -44,6 +43,9 @@ from repro.obs.report import sanitize_json
 from repro.utils import Table
 
 __all__ = ["main", "EXPERIMENTS"]
+
+#: Rows in the hotspot and process tables of ``run --profile``.
+PROFILE_TOP = 15
 
 
 class _LazyExperiments(dict):
@@ -165,6 +167,16 @@ def _cmd_run(args) -> int:
               "with 'repro trace <id> --seed <replica seed>')",
               file=sys.stderr)
         return 2
+    if args.replicas > 1 and args.profile:
+        print("run: --profile is incompatible with --replicas > 1 "
+              "(replicas run in worker processes the profiler cannot "
+              "reach; profile one replica with 'repro run <id> --seed "
+              "<replica seed> --profile')", file=sys.stderr)
+        return 2
+    if args.profile and args.trace:
+        print("run: --profile attributes time through its own tracer "
+              "and does not combine with --trace", file=sys.stderr)
+        return 2
     if args.live and args.replicas <= 1:
         print("run: --live shows worker progress and applies only to "
               "replicated sweeps; add --replicas N", file=sys.stderr)
@@ -195,6 +207,11 @@ def _cmd_run(args) -> int:
     payload: dict[str, dict] = {}
     breached: list[str] = []
     for exp_id in ids:
+        profiler = None
+        if args.profile:
+            from repro.obs.perf import Profiler
+
+            profiler = Profiler(mode=args.profile)
         if args.replicas > 1:
             from repro.parallel import ReplicaFailedError, run_replicated
 
@@ -226,19 +243,26 @@ def _cmd_run(args) -> int:
 
             from repro.des import kernel_counters
 
-            # Finalize leftovers from earlier experiments in this
-            # process so their GC-driven cleanup events don't land in
-            # this run's counter delta (see repro.parallel.engine).
+            # Collect leftovers from earlier experiments in this
+            # process before the timed run, so that freeing them is
+            # not charged to this run (as in repro.parallel.engine).
             gc.collect()
             before = kernel_counters().snapshot()
             start = perf_counter()
-            result = experiments.run(exp_id, seed=args.seed,
-                                     trace=args.trace,
-                                     scenario=args.scenario,
-                                     probe=args.probe,
-                                     slo=slo_specs)
+            with profiler or nullcontext():
+                result = experiments.run(
+                    exp_id, seed=args.seed,
+                    trace=(args.trace if profiler is None
+                           else profiler.tracer),
+                    scenario=args.scenario, probe=args.probe,
+                    slo=slo_specs)
             wall = perf_counter() - start
             after = kernel_counters().snapshot()
+            if profiler is not None:
+                # The attribution tracer stores no events; detach it
+                # so the payload is that of an unprofiled run.
+                result.tracer = None
+                result.report.trace = None
             # This run's kernel activity: counter deltas plus the
             # wall-clock execution rate (a timing field, like
             # report.wall_seconds — not part of the deterministic
@@ -277,6 +301,9 @@ def _cmd_run(args) -> int:
                 print()
                 for line in result.report.summary_lines():
                     print(line)
+        if profiler is not None:
+            _show_profile(exp_id, profiler.report, out_dir,
+                          sys.stderr if args.json else sys.stdout)
     if args.json:
         document = payload[ids[0]] if len(ids) == 1 else payload
         print(json.dumps(sanitize_json(document), indent=2,
@@ -286,6 +313,22 @@ def _cmd_run(args) -> int:
               file=sys.stderr)
         return 3
     return 0
+
+
+def _show_profile(exp_id: str, report, out_dir: Path | None,
+                  stream) -> None:
+    """Print one run's profile tables and write its collapsed stacks
+    into ``out_dir`` (the current directory when ``None``)."""
+    tables = [report.hotspot_table(PROFILE_TOP)]
+    if report.wall_by_owner:
+        tables.append(report.owner_table(PROFILE_TOP))
+    for table in tables:
+        print(file=stream)
+        print(table.render(), file=stream)
+    collapsed = (out_dir or Path(".")) / f"{exp_id}.collapsed.txt"
+    n_lines = report.write_collapsed(collapsed)
+    print(f"{exp_id}: wrote {n_lines} collapsed stacks to {collapsed}",
+          file=stream)
 
 
 def _cmd_trace(args) -> int:
@@ -307,8 +350,8 @@ def _cmd_trace(args) -> int:
 
 def _cmd_report(args) -> int:
     # Inputs are experiment ids (run now) or existing JSON files (a
-    # RunReport, an ExperimentResult payload from `run --json`, or a
-    # BENCH_perf.json document) rendered as-is.
+    # RunReport or an ExperimentResult payload from `run --json`)
+    # rendered as-is.
     file_inputs = [e for e in args.experiments
                    if e.endswith(".json") and Path(e).is_file()]
     id_inputs = [e for e in args.experiments if e not in file_inputs]
@@ -357,8 +400,7 @@ def _cmd_report(args) -> int:
                         report_dict).summary_lines():
                     print(line)
             else:
-                print(f"{name}: not a run report (use --html for "
-                      f"bench documents)")
+                print(f"{name}: not a run report")
     return 0
 
 
@@ -576,90 +618,6 @@ def _cmd_scenario(args) -> int:
     return handler(args)
 
 
-#: Default location of the current bench document (what ``--compare``
-#: reads when no experiment ids are given on the command line).
-DEFAULT_BENCH_OUT = "BENCH_perf.json"
-
-
-def _cmd_bench(args) -> int:
-    from repro.obs import perf
-
-    if args.experiments:
-        ids = _resolve_ids(args.experiments)
-        if ids is None:
-            return 2
-        if args.live and args.replicas <= 1:
-            print("bench: --live shows replica progress and needs "
-                  "--replicas N", file=sys.stderr)
-            return 2
-        document = perf.run_bench(
-            ids, repeat=args.repeat, seed=args.seed,
-            workers=args.workers, replicas=args.replicas,
-            live=args.live,
-            progress=lambda exp_id: print(
-                f"bench: {exp_id} (repeat={args.repeat})",
-                file=sys.stderr),
-        )
-        if args.out:
-            path = perf.write_document(document, args.out)
-            print(f"wrote {path}", file=sys.stderr)
-        perf.summary_table(document).show()
-        if args.profile:
-            profile_dir = Path(args.profile_dir)
-            profile_dir.mkdir(parents=True, exist_ok=True)
-            for exp_id in ids:
-                profiler = perf.Profiler(mode=args.profile_mode)
-                with profiler:
-                    experiments.run(exp_id, seed=args.seed,
-                                    trace=profiler.tracer)
-                report = profiler.report
-                print()
-                report.hotspot_table(args.top).show()
-                if report.wall_by_owner:
-                    report.owner_table(args.top).show()
-                collapsed = profile_dir / f"{exp_id}.collapsed.txt"
-                n_lines = report.write_collapsed(collapsed)
-                print(f"{exp_id}: wrote {n_lines} collapsed stacks "
-                      f"to {collapsed}")
-    else:
-        if not args.compare:
-            print("bench: give experiment ids to measure, or "
-                  "--compare OLD.json to gate an existing document",
-                  file=sys.stderr)
-            return 2
-        current = Path(args.out or DEFAULT_BENCH_OUT)
-        if not current.is_file():
-            print(f"bench: no current document at {current} "
-                  f"(run 'repro bench <ids> --out {current}' first)",
-                  file=sys.stderr)
-            return 2
-        try:
-            document = perf.load_document(current)
-        except ValueError as error:
-            print(f"bench: {error}", file=sys.stderr)
-            return 2
-
-    if args.compare:
-        try:
-            baseline = perf.load_document(args.compare)
-        except (OSError, ValueError) as error:
-            print(f"bench: cannot load baseline: {error}",
-                  file=sys.stderr)
-            return 2
-        report = perf.compare_documents(
-            baseline, document, threshold_pct=args.threshold)
-        print()
-        report.table().show()
-        if report.any_regression:
-            ids_ = ", ".join(d.id for d in report.regressions)
-            print(f"REGRESSION: {ids_} slower than baseline by more "
-                  f"than {args.threshold:g}%", file=sys.stderr)
-            return 1
-        print(f"no regression beyond {args.threshold:g}% "
-              f"against {args.compare}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
@@ -687,7 +645,7 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument(
         "--scenario", default=None, metavar="FILE",
         help="substitute this scenario file for the experiment's "
-             "registered models (single runs only; replicate a "
+             "registered scenarios (single runs only; replicate a "
              "scenario via the scenario:<path> experiment id)")
     run_parser.add_argument(
         "--replicas", type=int, default=1, metavar="N",
@@ -737,6 +695,14 @@ def main(argv: list[str] | None = None) -> int:
         help="render live per-replica progress (sim-time, events/sec) "
              "to stderr while a replicated sweep runs; display only — "
              "the merged payload is unchanged")
+    run_parser.add_argument(
+        "--profile", nargs="?", const="sample", default=None,
+        choices=("sample", "cprofile"),
+        help="profile each run: print the hotspot and simulated-"
+             "process tables and write <id>.collapsed.txt flamegraph "
+             "input to --out DIR (default: current directory); "
+             "'sample' (default) is cheap with exact stacks, "
+             "'cprofile' gives exact call counts at 3-5x the time")
 
     trace_parser = subparsers.add_parser(
         "trace", help="run one experiment with tracing, export JSONL")
@@ -855,64 +821,13 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated worker counts to compare "
              "(default 1,4)")
 
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="measure experiments, write/compare BENCH_perf.json")
-    bench_parser.add_argument(
-        "experiments", nargs="*",
-        help="experiment ids to measure (or 'all'); omit together "
-             "with --compare to gate an existing document")
-    bench_parser.add_argument(
-        "--repeat", type=int, default=3, metavar="N",
-        help="repetitions per experiment (default 3)")
-    bench_parser.add_argument("--seed", type=int, default=0,
-                              help="base seed (default 0)")
-    bench_parser.add_argument(
-        "--replicas", type=int, default=1, metavar="N",
-        help="measure replicated runs: each repetition fans N "
-             "replicas over --workers processes (default 1)")
-    bench_parser.add_argument(
-        "--workers", type=int, default=1, metavar="K",
-        help="worker processes: parallelises repetitions "
-             "(replicas=1) or each replicated run (default 1)")
-    bench_parser.add_argument(
-        "--profile", action="store_true",
-        help="also profile each experiment: print hotspot/process "
-             "tables, write <id>.collapsed.txt flamegraph input")
-    bench_parser.add_argument(
-        "--profile-dir", default=".", metavar="DIR",
-        help="directory for collapsed-stack files (default .)")
-    bench_parser.add_argument(
-        "--profile-mode", choices=("sample", "cprofile"),
-        default="sample",
-        help="profiler engine: statistical sampling (cheap, exact "
-             "stacks) or cProfile (exact counts, 3-5x slower)")
-    bench_parser.add_argument(
-        "--top", type=int, default=15, metavar="N",
-        help="rows in the profile tables (default 15)")
-    bench_parser.add_argument(
-        "--out", default=None, metavar="FILE",
-        help=f"write the bench document here; with no ids, the "
-             f"document --compare reads (default {DEFAULT_BENCH_OUT})")
-    bench_parser.add_argument(
-        "--compare", default=None, metavar="OLD",
-        help="baseline BENCH_perf.json to diff against; exits 1 on "
-             "regression beyond --threshold")
-    bench_parser.add_argument(
-        "--threshold", type=float, default=10.0, metavar="PCT",
-        help="regression threshold in percent (default 10)")
-    bench_parser.add_argument(
-        "--live", action="store_true",
-        help="with --replicas > 1: live per-replica progress to "
-             "stderr while each replicated repetition runs")
-
     report_parser = subparsers.add_parser(
         "report",
         help="print run reports, or render an HTML dashboard")
     report_parser.add_argument(
         "experiments", nargs="+",
         help="experiment ids, 'all', or existing JSON files (a "
-             "RunReport, a 'run --json' payload, or BENCH_perf.json)")
+             "RunReport or a 'run --json' payload)")
     report_parser.add_argument("--seed", type=int, default=None)
     report_parser.add_argument("--json", action="store_true",
                                help="print the RunReport as JSON")
@@ -940,8 +855,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_check(args)
     if args.command == "scenario":
         return _cmd_scenario(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "report":
         return _cmd_report(args)
     parser.error(f"unknown command {args.command!r}")

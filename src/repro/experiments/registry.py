@@ -24,7 +24,6 @@ from repro.obs.report import RunReport
 from repro.obs.slo import SLOWatcher, as_slo_specs
 from repro.obs.timeseries import Probe, as_probe_spec
 from repro.obs.trace import Tracer
-from repro.utils.deprecation import deprecated_alias
 from repro.utils.tables import Table
 
 __all__ = ["Experiment", "RunContext", "register", "get", "ids",
@@ -77,84 +76,32 @@ class Experiment:
     list.  When present, :func:`run` schema-validates and RC-verifies
     the *documents* before simulating anything, so what gets checked
     is exactly what a scenario file would carry.
-
-    ``models`` is the deprecated predecessor hook (live model
-    objects); :func:`register` wraps it into ``scenario`` form and
-    keeps the original here for introspection only.
     """
 
     id: str
     claim: str
     runner: Callable[[RunContext], Any]
-    models: Callable[[], Any] | None = None
     scenario: Callable[[], Any] | None = None
 
 
 _REGISTRY: dict[str, Experiment] = {}
 
-_MISSING = object()
-
-
-def _document_for_model(model: Any) -> dict:
-    """Wrap one legacy ``models=`` item as a scenario document."""
-    from repro.core.application import ApplicationGraph, TaskGraph
-    from repro.core.architecture import Platform
-    from repro.scenario import Scenario
-
-    if isinstance(model, dict):
-        return Scenario(
-            name=getattr(model.get("application")
-                         or model.get("task_graph")
-                         or model.get("platform"), "name", "design"),
-            **model,
-        ).to_document()
-    if isinstance(model, ApplicationGraph):
-        return Scenario(name=model.name,
-                        application=model).to_document()
-    if isinstance(model, TaskGraph):
-        return Scenario(name=model.name, task_graph=model).to_document()
-    if isinstance(model, Platform):
-        return Scenario(name=model.name, platform=model).to_document()
-    raise TypeError(
-        f"cannot express model of type {type(model).__name__} as a "
-        f"scenario document"
-    )
-
 
 def register(exp_id: str, claim: str,
-             models: Callable[[], Any] | None = None,
-             scenario: Any = _MISSING):
+             scenario: Callable[[], Any] | None = None):
     """Decorator registering ``runner`` under ``exp_id``.
 
     ``scenario`` optionally supplies the experiment's design points as
     declarative documents for static verification (see
-    :class:`Experiment`).  ``models=`` is the deprecated spelling: a
-    hook returning live model objects, which is wrapped into document
-    form (each object serialized through its canonical ``to_dict``).
+    :class:`Experiment`).
     """
-    scenario_hook = None if scenario is _MISSING else scenario
-    if models is not None:
-        legacy = models
-
-        def _documents_from_models():
-            result = legacy()
-            items = result if isinstance(result, (list, tuple)) else [
-                result]
-            return [_document_for_model(model) for model in items]
-
-        scenario_hook = deprecated_alias(
-            "register", "models", "scenario",
-            _documents_from_models,
-            None if scenario is _MISSING else scenario,
-        )
 
     def decorator(runner: Callable[[RunContext], Any]):
         key = exp_id.lower()
         if key in _REGISTRY:
             raise ValueError(f"experiment {exp_id!r} already registered")
         _REGISTRY[key] = Experiment(id=key, claim=claim, runner=runner,
-                                    models=models,
-                                    scenario=scenario_hook)
+                                    scenario=scenario)
         return runner
 
     return decorator
@@ -186,25 +133,8 @@ def _coerce_scenario(item: Any):
 
 
 def _effective_scenario_hook(experiment: Experiment):
-    """The experiment's document provider.
-
-    Prefers the ``scenario`` hook; an :class:`Experiment` constructed
-    directly with only the legacy ``models`` field (bypassing
-    :func:`register`, e.g. in tests) gets that hook wrapped into
-    document form so pre-flight keeps covering it.
-    """
-    if experiment.scenario is not None:
-        return experiment.scenario
-    if experiment.models is None:
-        return None
-
-    def wrapped():
-        result = experiment.models()
-        items = result if isinstance(result, (list, tuple)) else [
-            result]
-        return [_document_for_model(model) for model in items]
-
-    return wrapped
+    """The experiment's document provider (``None`` without a hook)."""
+    return experiment.scenario
 
 
 def scenarios_of(exp_id: str) -> list:

@@ -19,7 +19,7 @@ substrate the rest of :mod:`repro` reports through:
   recorded in the run report;
 * :mod:`repro.obs.dashboard` — :func:`render_html`, a self-contained
   HTML dashboard (SVG sparklines, KPI tables, SLO breach timeline)
-  for any run report or bench document;
+  for any run report;
 * :mod:`repro.obs.report` — the :class:`RunReport` summary (scalar
   KPIs plus aggregate statistics with confidence intervals)
   serializable to JSON;
@@ -28,11 +28,9 @@ substrate the rest of :mod:`repro` reports through:
   models (every :class:`~repro.des.Environment` created inside an
   experiment) pick them up without explicit plumbing;
 * :mod:`repro.obs.perf` — performance observability on top of the
-  above: the :class:`~repro.obs.perf.Profiler` (cProfile hotspots +
-  wall-clock attribution to simulated processes + flamegraph export),
-  the ``repro bench`` harness producing the versioned
-  ``BENCH_perf.json`` trajectory artifact, and regression gates
-  (:func:`~repro.obs.perf.compare_documents`).
+  above: the :class:`~repro.obs.perf.Profiler` (cProfile or sampled
+  hotspots + wall-clock attribution to simulated processes +
+  flamegraph export), behind ``repro run --profile``.
 
 Instrumentation is strictly opt-in: with no tracer or registry
 attached, every hook in the kernel and the subsystem models reduces to

@@ -1,12 +1,12 @@
 """Self-contained HTML run dashboards.
 
 :func:`render_html` turns a run record — a :class:`~repro.obs.report.
-RunReport` (object or dict), a full :class:`~repro.experiments.result.
-ExperimentResult` dict, or a ``BENCH_perf.json`` document — into one
-static HTML page: KPI tables, inline SVG sparklines for every
-:class:`~repro.obs.timeseries.TimeSeries` instrument (mean line over a
-min–max band), the SLO verdicts with a breach timeline, and the
-replication view for pooled runs.
+RunReport` (object or dict) or a full :class:`~repro.experiments.result.
+ExperimentResult` dict — into one static HTML page: KPI tables,
+inline SVG sparklines for every :class:`~repro.obs.timeseries.
+TimeSeries` instrument (mean line over a min–max band), the SLO
+verdicts with a breach timeline, and the replication view for pooled
+runs.
 
 The page embeds everything (styles, SVG, data) inline: no scripts, no
 network fetches, no external assets — it renders identically from a CI
@@ -121,13 +121,12 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _chip(ok: bool, label_ok: str = "OK",
-          label_bad: str = "BREACHED") -> str:
+def _chip(ok: bool) -> str:
     cls = "ok" if ok else "bad"
     # Never color-alone: the chip carries an explicit glyph + label.
     glyph = "✓" if ok else "✕"
     return (f'<span class="chip {cls}">{glyph} '
-            f'{label_ok if ok else label_bad}</span>')
+            f'{"OK" if ok else "BREACHED"}</span>')
 
 
 # ----------------------------------------------------------------------
@@ -394,55 +393,6 @@ def _report_body(report: dict[str, Any],
 
 
 # ----------------------------------------------------------------------
-# Bench documents
-# ----------------------------------------------------------------------
-
-def _bench_body(document: dict[str, Any]) -> str:
-    meta = document.get("meta", {})
-    rows = []
-    sparks = []
-    for record in document.get("experiments", []):
-        wall = record.get("wall_seconds", {}) or {}
-        rate = record.get("events_per_sec") or {}
-        rows.append(
-            f"<tr><td>{_esc(record.get('id'))}</td>"
-            f'<td class="num">{_fmt(wall.get("median"))}</td>'
-            f'<td class="num">{_fmt(wall.get("min"))}</td>'
-            f'<td class="num">{_fmt(wall.get("max"))}</td>'
-            f'<td class="num">{_fmt(rate.get("median"))}</td>'
-            f'<td class="num">'
-            f"{_fmt(record.get('events_executed'))}</td>"
-            f"<td>{_chip(bool(record.get('deterministic')), 'DET', 'NONDET')}"
-            f"</td></tr>")
-        samples = wall.get("samples") or []
-        if len(samples) > 1:
-            points = [(float(i), 1, float(v), float(v), float(v))
-                      for i, v in enumerate(samples)]
-            sparks.append(
-                f'<div class="series"><div><span class="name">'
-                f"{_esc(record.get('id'))}</span> "
-                f'<span class="stats">wall seconds per repetition'
-                f"</span></div>{_sparkline(points, width=620, height=72)}"
-                f"</div>")
-    table = (
-        f"<h2>Experiments</h2><table><thead><tr><th>id</th>"
-        f'<th class="num">median s</th><th class="num">min s</th>'
-        f'<th class="num">max s</th><th class="num">ev/s</th>'
-        f'<th class="num">events</th><th>determinism</th></tr>'
-        f"</thead><tbody>{''.join(rows)}</tbody></table>")
-    spark_html = ("<h2>Wall-clock per repetition</h2>"
-                  + "".join(sparks) if sparks else "")
-    return (
-        f"<h1>Bench document</h1>"
-        f'<p class="sub">{_esc(document.get("schema"))} '
-        f'v{_esc(document.get("schema_version"))}</p>'
-        f'<p class="muted">python {_esc(meta.get("python"))} · '
-        f'{_esc(meta.get("platform"))} · repeat='
-        f'{_esc(meta.get("repeat"))} seed={_esc(meta.get("seed"))}'
-        f"</p>" + table + spark_html)
-
-
-# ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
 
@@ -451,8 +401,7 @@ def render_html(data: Any, *, title: str | None = None) -> str:
 
     ``data`` may be a :class:`~repro.obs.report.RunReport`, its
     ``to_dict()`` payload, a full ``ExperimentResult`` dict (the
-    ``repro run --json`` / ``repro replicate --json`` output), a
-    ``BENCH_perf.json`` document, or a JSON string of any of those.
+    ``repro run --json`` output), or a JSON string of any of those.
     """
     if hasattr(data, "to_dict"):
         data = data.to_dict()
@@ -460,13 +409,10 @@ def render_html(data: Any, *, title: str | None = None) -> str:
         data = json.loads(data)
     if not isinstance(data, dict):
         raise TypeError(
-            f"render_html expects a report/result/bench mapping, "
+            f"render_html expects a report/result mapping, "
             f"got {type(data).__name__}")
 
-    if data.get("schema") == "repro.bench_perf":
-        body = _bench_body(data)
-        default_title = "repro bench"
-    elif "report" in data and isinstance(data["report"], dict):
+    if "report" in data and isinstance(data["report"], dict):
         body = _report_body(data["report"], claim=data.get("claim"))
         default_title = f"repro run: {data.get('id', '?')}"
     elif "experiment" in data:
@@ -475,8 +421,7 @@ def render_html(data: Any, *, title: str | None = None) -> str:
     else:
         raise ValueError(
             "unrecognized dashboard input: expected a RunReport "
-            "dict, an ExperimentResult dict, or a repro.bench_perf "
-            "document")
+            "dict or an ExperimentResult dict")
 
     page_title = title or default_title
     return ("<!DOCTYPE html>\n"

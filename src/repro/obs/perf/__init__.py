@@ -1,37 +1,13 @@
-"""Performance observability: profiler, bench harness, regression gates.
+"""Performance observability: the wall-clock profiler.
 
-The feedback loop the ROADMAP's "as fast as the hardware allows" goal
-needs, built on the :mod:`repro.obs` substrate:
+:mod:`repro.obs.perf.profiler` holds :class:`Profiler`: cProfile or
+sampled hotspots, wall-clock attribution to simulated processes (via
+the kernel's tracer hooks) and collapsed-stack (flamegraph) export.
+``repro run <ids> --profile`` drives it from the command line.
 
-* :mod:`repro.obs.perf.profiler` — :class:`Profiler`: cProfile
-  hotspots plus wall-clock attribution to simulated processes (via
-  the kernel's tracer hooks) and collapsed-stack (flamegraph) export;
-* :mod:`repro.obs.perf.bench` — the ``repro bench`` harness: measured
-  wall time, kernel counters and throughput per experiment, written
-  as the versioned, byte-stable ``BENCH_perf.json`` schema;
-* :mod:`repro.obs.perf.compare` — delta reports and regression gates
-  between two bench documents (the CI soft gate).
-
-See ``docs/profiling.md`` for usage and the schema reference.
+See ``docs/profiling.md`` for usage.
 """
 
-from repro.obs.perf.bench import (
-    SCHEMA_NAME,
-    SCHEMA_VERSION,
-    TIMING_FIELDS,
-    load_document,
-    measure_experiment,
-    run_bench,
-    strip_timings,
-    summary_table,
-    validate_document,
-    write_document,
-)
-from repro.obs.perf.compare import (
-    CompareReport,
-    Delta,
-    compare_documents,
-)
 from repro.obs.perf.profiler import (
     Hotspot,
     ProfileReport,
@@ -41,22 +17,9 @@ from repro.obs.perf.profiler import (
 )
 
 __all__ = [
-    "SCHEMA_NAME",
-    "SCHEMA_VERSION",
-    "TIMING_FIELDS",
-    "CompareReport",
-    "Delta",
     "Hotspot",
     "ProfileReport",
     "Profiler",
     "WallAttributionTracer",
     "collapse_stats",
-    "compare_documents",
-    "load_document",
-    "measure_experiment",
-    "run_bench",
-    "strip_timings",
-    "summary_table",
-    "validate_document",
-    "write_document",
 ]

@@ -13,7 +13,7 @@ Three coordinated instruments:
   SIGPROF/``setitimer`` sampler captures the full Python stack every
   few milliseconds of CPU time.  Full stacks make the collapsed-stack
   (folded) export exact, and the overhead is a few percent — the
-  mode ``repro bench --profile`` uses.
+  default of ``repro run --profile``.
 * **Deterministic counts** (``mode="cprofile"``) — a :mod:`cProfile`
   session records exact call counts and per-function times.  Precise,
   but 3–5× slower on this kernel's many tiny calls; collapsed stacks

@@ -28,8 +28,8 @@ byte-identical merge contract intact through all of it.
 
 :func:`parallel_map` is the underlying generic primitive, also used
 by the SA mapper's multi-start mode
-(:func:`repro.noc.parallel_annealing_mapping`) and ``repro bench
---workers``.
+(:func:`repro.noc.parallel_annealing_mapping`) and the scenario
+corpus generator (``repro scenario generate --workers``).
 
 This module is the **only** sanctioned home for ``multiprocessing``
 in the repository: the SL206 lint rule flags process-pool usage
@@ -320,8 +320,7 @@ def run_replicated(
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
     experiment = experiments.get(exp_id)
-    if verify and (experiment.scenario is not None
-                   or experiment.models is not None):
+    if verify and experiment.scenario is not None:
         from repro.check import ModelVerificationError, has_errors
 
         diagnostics = experiments.preflight(exp_id)

@@ -18,7 +18,6 @@ from repro.streaming.arq import ArqPolicy, LossyLink
 from repro.streaming.client import DecoderModel, DvfsVideoClient
 from repro.streaming.fgs import FgsSource
 from repro.streaming.server import FeedbackServer, FullRateServer
-from repro.utils.deprecation import deprecated_alias
 
 __all__ = ["SessionReport", "run_session", "StreamingComparison",
            "compare_streaming_policies"]
@@ -61,8 +60,6 @@ def run_session(
     source: FgsSource | None = None,
     link: LossyLink | None = None,
     arq: ArqPolicy | None = None,
-    *,
-    source_seed: int | None = None,
 ) -> SessionReport:
     """Stream ``n_frames`` from ``server`` to a DVFS client.
 
@@ -70,11 +67,7 @@ def run_session(
     plays out (re)transmissions under ``arq``; frames that miss the
     deadline are skipped by the client, and lost feedback reports leave
     the server adapting on its previous aptitude estimate.
-
-    ``source_seed=`` is a deprecated alias of ``seed=``.
     """
-    seed = deprecated_alias("run_session", "source_seed", "seed",
-                            source_seed, seed)
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     source = source or FgsSource(seed=0 if seed is None else seed)

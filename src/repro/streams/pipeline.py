@@ -19,7 +19,6 @@ from repro.des.events import Interrupt
 from repro.streams.channel import Channel, ChannelStats, FailoverChannel
 from repro.streams.sink import Sink
 from repro.streams.source import StreamSource
-from repro.utils.deprecation import deprecated_alias
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.faults import FailureModel
@@ -113,17 +112,15 @@ class StreamPipeline:
         self.tx_buffer_size = tx_buffer_size
         self.rx_buffer_size = rx_buffer_size
 
-    def run(self, horizon: float | None = None,
+    def run(self, horizon: float,
             faults: "FailureModel | None" = None,
-            fault_seed: int = 0, *,
-            duration: float | None = None) -> StreamReport:
+            fault_seed: int = 0) -> StreamReport:
         """Simulate the stream for ``horizon`` seconds.
 
         Parameters
         ----------
         horizon:
-            Simulated duration in seconds (``duration=`` is a
-            deprecated alias).
+            Simulated duration in seconds.
         faults, fault_seed:
             When ``faults`` is given, a
             :class:`~repro.resilience.faults.FaultInjector` breaks and
@@ -133,10 +130,6 @@ class StreamPipeline:
             fault (``report.crashed``); a resilient or failover channel
             degrades instead, and the report stays complete.
         """
-        horizon = deprecated_alias("StreamPipeline.run", "duration",
-                                   "horizon", duration, horizon)
-        if horizon is None:
-            raise TypeError("StreamPipeline.run() missing 'horizon'")
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         env = Environment()

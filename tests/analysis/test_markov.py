@@ -109,6 +109,19 @@ class TestDTMCStructure:
             DTMC([[1.0]]).expected_hitting_times(3)
 
 
+class TestDtmcSeedKeyword:
+    def test_seed_replaces_manual_rng(self):
+        chain = DTMC(np.array([[0.5, 0.5], [0.2, 0.8]]))
+        by_seed = chain.simulate(100, seed=11)
+        by_rng = chain.simulate(100, rng=spawn_rng(11, "dtmc"))
+        assert list(by_seed) == list(by_rng)
+
+    def test_rng_and_seed_together_rejected(self):
+        chain = DTMC(np.array([[0.5, 0.5], [0.2, 0.8]]))
+        with pytest.raises(TypeError, match="not both"):
+            chain.simulate(10, rng=np.random.default_rng(0), seed=1)
+
+
 class TestCTMC:
     def test_row_sum_enforced(self):
         with pytest.raises(ValueError):

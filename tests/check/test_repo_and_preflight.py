@@ -19,6 +19,7 @@ from repro.check import (
 )
 from repro.experiments.registry import _REGISTRY, Experiment
 from repro.noc import mms_apcg
+from repro.scenario import Scenario
 
 
 class TestRepositoryClean:
@@ -101,8 +102,18 @@ class TestPreflightHook:
 
     @staticmethod
     def _with_fake_experiment(monkeypatch, models):
+        """Register ``zz-test`` whose scenario hook wraps each model
+        (a task graph, or a ``verify_design`` keyword bundle) as a
+        :class:`Scenario`; the hook stays lazy, so ``models`` runs
+        only when pre-flight asks for the documents."""
+        def scenario():
+            bundles = [m if isinstance(m, dict) else {"task_graph": m}
+                       for m in models()]
+            return [Scenario(name=b["task_graph"].name, **b)
+                    for b in bundles]
+
         exp = Experiment(id="zz-test", claim="fixture",
-                         runner=lambda ctx: "ran", models=models)
+                         runner=lambda ctx: "ran", scenario=scenario)
         monkeypatch.setitem(_REGISTRY, "zz-test", exp)
 
 

@@ -64,28 +64,6 @@ class TestRenderHtml:
         page = render_html(json.dumps(_report_dict()))
         assert "<title>repro run: r1</title>" in page
 
-    def test_bench_document(self):
-        doc = {
-            "schema": "repro.bench_perf",
-            "schema_version": 1,
-            "meta": {"python": "3.11", "platform": "linux",
-                     "repeat": 3, "seed": 0},
-            "experiments": [{
-                "id": "e14",
-                "wall_seconds": {"samples": [0.5, 0.6, 0.55],
-                                 "median": 0.55, "min": 0.5,
-                                 "max": 0.6},
-                "events_per_sec": {"median": 120_000.0},
-                "events_executed": 60_000,
-                "deterministic": True,
-            }],
-        }
-        page = render_html(doc)
-        assert "<title>repro bench</title>" in page
-        assert "e14" in page
-        assert "DET" in page
-        assert "<svg" in page  # per-repetition sparkline
-
     def test_slo_section_with_breach_timeline(self):
         page = render_html(_report_dict(slo=_slo_payload()))
         assert "Service-level objectives" in page

@@ -1,4 +1,4 @@
-"""Tests for the profiler half of :mod:`repro.obs.perf`."""
+"""Tests for :mod:`repro.obs.perf`: the profiler."""
 
 from __future__ import annotations
 

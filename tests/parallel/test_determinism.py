@@ -18,7 +18,6 @@ from repro.noc import (
     mms_apcg,
     parallel_annealing_mapping,
 )
-from repro.obs import perf
 from repro.parallel import run_replicated
 
 
@@ -54,27 +53,6 @@ class TestWorkerCountInvariance:
         first = run_replicated("e14", replicas=2, workers=2)
         second = run_replicated("e14", replicas=2, workers=2)
         assert _stripped(first) == _stripped(second)
-
-
-class TestBenchWorkerInvariance:
-    def test_parallel_repeats_match_serial(self):
-        serial = perf.run_bench(["e14"], repeat=2, workers=1)
-        fanned = perf.run_bench(["e14"], repeat=2, workers=4)
-        assert (json.dumps(perf.strip_timings(serial), sort_keys=True)
-                == json.dumps(perf.strip_timings(fanned),
-                              sort_keys=True))
-
-    def test_replicated_bench_records_geometry(self):
-        document = perf.run_bench(["e14"], repeat=1, replicas=2,
-                                  workers=2)
-        record = document["experiments"][0]
-        assert record["replicas"] == 2
-        assert record["workers"] == 2
-        assert document["meta"]["replicas"] == 2
-        stripped = perf.strip_timings(document)
-        assert "workers" not in stripped["experiments"][0]
-        assert "workers" not in stripped["meta"]
-        assert stripped["experiments"][0]["replicas"] == 2
 
 
 class TestAnnealingMultiStart:

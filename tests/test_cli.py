@@ -241,89 +241,12 @@ class TestCheckCommand:
         assert len(entry["fingerprint"]) == 16
 
 
-class TestBenchCommand:
-    def test_bench_writes_valid_document(self, tmp_path, capsys):
-        from repro.obs import perf
-
-        out = tmp_path / "BENCH_perf.json"
-        assert main(["bench", "e16", "--repeat", "2",
-                     "--out", str(out)]) == 0
-        captured = capsys.readouterr()
-        assert "e16" in captured.out  # summary table
-        document = perf.load_document(out)
-        assert perf.validate_document(document) == []
-        assert document["meta"]["ids"] == ["e16"]
-
-    def test_bench_unknown_id_is_usage_error(self, capsys):
-        assert main(["bench", "zz"]) == 2
-        assert "unknown" in capsys.readouterr().err
-
-    def test_bench_without_ids_or_compare_is_usage_error(self,
-                                                         capsys):
-        assert main(["bench"]) == 2
-        assert "--compare" in capsys.readouterr().err
-
-    def test_compare_against_itself_exits_zero(self, tmp_path,
-                                               capsys):
-        out = tmp_path / "b.json"
-        assert main(["bench", "e16", "--repeat", "2",
-                     "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert main(["bench", "--out", str(out),
-                     "--compare", str(out)]) == 0
-        assert "no regression" in capsys.readouterr().out
-
-    def test_compare_flags_regression_with_exit_1(self, tmp_path,
-                                                  capsys):
-        import json
-
-        from repro.obs import perf
-
-        out = tmp_path / "b.json"
-        assert main(["bench", "e16", "--repeat", "2",
-                     "--out", str(out)]) == 0
-        capsys.readouterr()
-        # Synthesize a 2x-faster baseline: current must regress.
-        fast = perf.load_document(out)
-        for record in fast["experiments"]:
-            timing = record["wall_seconds"]
-            for key in ("samples", "median", "mean", "min", "max"):
-                value = timing[key]
-                timing[key] = ([v / 2 for v in value]
-                               if isinstance(value, list)
-                               else value / 2)
-        baseline = tmp_path / "fast.json"
-        baseline.write_text(json.dumps(fast), encoding="utf-8")
-        assert main(["bench", "--out", str(out),
-                     "--compare", str(baseline),
-                     "--threshold", "25"]) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSED" in captured.out
-        assert "REGRESSION" in captured.err
-
-    def test_compare_missing_current_document(self, tmp_path,
-                                              capsys):
-        missing = tmp_path / "nope.json"
-        assert main(["bench", "--out", str(missing),
-                     "--compare", str(missing)]) == 2
-        assert "no current document" in capsys.readouterr().err
-
-    def test_compare_invalid_baseline(self, tmp_path, capsys):
-        out = tmp_path / "b.json"
-        assert main(["bench", "e16", "--repeat", "1",
-                     "--out", str(out)]) == 0
-        capsys.readouterr()
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}", encoding="utf-8")
-        assert main(["bench", "--out", str(out),
-                     "--compare", str(bad)]) == 2
-        assert "cannot load baseline" in capsys.readouterr().err
-
+class TestRunProfile:
     def test_profile_writes_collapsed_stacks(self, tmp_path, capsys):
-        assert main(["bench", "e16", "--repeat", "1", "--profile",
-                     "--profile-dir", str(tmp_path)]) == 0
+        assert main(["run", "e16", "--profile",
+                     "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "hotspots" in out
+        assert "hotspots [sample]" in out
         collapsed = tmp_path / "e16.collapsed.txt"
         assert collapsed.is_file()
         for line in collapsed.read_text(
@@ -333,9 +256,57 @@ class TestBenchCommand:
 
     def test_profile_cprofile_mode_reports_calls(self, tmp_path,
                                                  capsys):
-        assert main(["bench", "e16", "--repeat", "1", "--profile",
-                     "--profile-mode", "cprofile",
-                     "--profile-dir", str(tmp_path)]) == 0
+        assert main(["run", "e16", "--profile", "cprofile",
+                     "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "[cprofile]" in out
         assert "wall time by simulated process" in out
+
+    def test_profile_defaults_to_the_current_directory(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "e16", "--profile"]) == 0
+        assert (tmp_path / "e16.collapsed.txt").is_file()
+
+    def test_profile_keeps_json_stdout_clean(self, tmp_path, capsys):
+        assert main(["run", "e16", "--json", "--profile",
+                     "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["id"] == "e16"
+        assert "hotspots [sample]" in captured.err
+
+    def test_profile_with_replicas_is_usage_error(self, capsys):
+        assert main(["run", "e16", "--replicas", "2",
+                     "--profile"]) == 2
+        assert "--profile" in capsys.readouterr().err
+
+    def test_profile_with_trace_is_usage_error(self, capsys):
+        assert main(["run", "e16", "--trace", "--profile"]) == 2
+        assert "--trace" in capsys.readouterr().err
+
+    def test_profile_leaves_the_payload_unchanged(self, tmp_path,
+                                                  monkeypatch,
+                                                  capsys):
+        from repro import experiments
+
+        results = []
+        run = experiments.run
+
+        def recording_run(*args, **kwargs):
+            results.append(run(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(experiments, "run", recording_run)
+        plain_dir, profiled_dir = tmp_path / "plain", tmp_path / "prof"
+        assert main(["run", "e16", "--out", str(plain_dir)]) == 0
+        assert main(["run", "e16", "--profile",
+                     "--out", str(profiled_dir)]) == 0
+        plain, profiled = (json.dumps(r.strip_timings(), sort_keys=True)
+                           for r in results)
+        assert plain == profiled
+        documents = []
+        for directory in (plain_dir, profiled_dir):
+            document = json.loads((directory / "e16.json").read_text())
+            del document["report"]["wall_seconds"]
+            documents.append(document)
+        assert documents[0] == documents[1]
