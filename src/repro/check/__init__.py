@@ -27,9 +27,9 @@ is that stage:
 
 All layers report :class:`Diagnostic` records and surface through
 ``repro check [--models] [--lint] [--flow] [--json] [--sarif FILE]
-[--baseline write|compare] [--strict]`` and the experiment registry's
-pre-flight hook (``repro.experiments.run`` verifies an experiment's
-declared models before running it).
+[--out FILE] [--strict]`` and the experiment registry's pre-flight
+hook (``repro.experiments.run`` verifies an experiment's declared
+models before running it).
 
 See ``docs/static_analysis.md`` for the full rule catalog.
 """
@@ -48,13 +48,6 @@ from repro.check.diagnostics import (
     max_severity,
     rule,
 )
-from repro.check.astcache import cache_stats, clear_cache
-from repro.check.baseline import (
-    BaselineComparison,
-    compare_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.check.model import (
     verify_application,
     verify_design,
@@ -71,9 +64,8 @@ from repro.check.repo import (
     repository_root,
 )
 from repro.check.sarif import to_sarif, to_sarif_json
-from repro.check.simflow import analyze_file, analyze_paths, \
-    analyze_source
-from repro.check.simlint import lint_file, lint_paths, lint_source
+from repro.check.simflow import analyze_paths, analyze_source
+from repro.check.simlint import lint_paths, lint_source
 
 __all__ = [
     "Severity",
@@ -95,19 +87,11 @@ __all__ = [
     "verify_design",
     "verify_model",
     "lint_source",
-    "lint_file",
     "lint_paths",
     "analyze_source",
-    "analyze_file",
     "analyze_paths",
     "to_sarif",
     "to_sarif_json",
-    "BaselineComparison",
-    "write_baseline",
-    "load_baseline",
-    "compare_baseline",
-    "cache_stats",
-    "clear_cache",
     "builtin_model_checks",
     "check_models",
     "check_repository",

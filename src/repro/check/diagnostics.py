@@ -128,9 +128,10 @@ class Diagnostic:
         A hash of (rule, subject, message-with-numbers-masked): adding
         or removing unrelated lines — which renumbers both ``line``
         and any line references interpolated into the message — does
-        not change the fingerprint, so baseline suppression
-        (:mod:`repro.check.baseline`) survives routine edits.  Moving
-        the finding to another file or changing what it says does.
+        not change the fingerprint, so the JSON output's
+        ``fingerprint`` field and SARIF's ``partialFingerprints``
+        keep matching a finding across routine edits.  Moving the
+        finding to another file or changing what it says does.
         """
         context = re.sub(r"\d+", "#", self.message)
         digest = hashlib.sha256(

@@ -5,7 +5,8 @@ Layer-1 model verifier over every model the repository ships (the
 experiment registry's ``scenario=`` hooks plus the built-in catalog
 below), the Layer-2 simulation lint, and the Layer-3 flow analyzer
 (:mod:`repro.check.simflow`), both over ``src/``, ``benchmarks/``,
-and ``examples/``.
+and ``examples/``.  The two AST passes share one parse of each file
+(:func:`repro.check.parse.parse_paths`).
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from typing import Iterable
 
 from repro.check.diagnostics import Diagnostic
 from repro.check.model import verify_model
-from repro.check.simflow import analyze_paths
-from repro.check.simlint import lint_paths
+from repro.check.parse import parse_paths
+from repro.check.simflow import _analyze_parsed
+from repro.check.simlint import _lint_parsed
 
 __all__ = [
     "repository_root",
@@ -137,10 +139,14 @@ def check_repository(
     diagnostics: list[Diagnostic] = []
     if models:
         diagnostics.extend(check_models())
+    if not (lint or flow):
+        return diagnostics
     targets = (list(lint_targets) if lint_targets is not None
                else default_lint_paths(root))
+    parsed = parse_paths(targets, root)
     if lint:
-        diagnostics.extend(lint_paths(targets, root=root))
+        for label, parsed_file in parsed:
+            diagnostics.extend(_lint_parsed(parsed_file, label))
     if flow:
-        diagnostics.extend(analyze_paths(targets, root=root))
+        diagnostics.extend(_analyze_parsed(parsed))
     return diagnostics

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.check.astcache import ParsedFile, parse_file, parse_source
 from repro.check.cfg import (
     CFG,
     ForIter,
@@ -55,10 +54,11 @@ from repro.check.cfg import (
     is_generator,
 )
 from repro.check.diagnostics import Diagnostic, make_diagnostic
+from repro.check.parse import ParsedFile, parse_paths, parse_source
 from repro.check.pragmas import collect_pragmas, filter_suppressed
 from repro.check.taint import TaintAnalysis
 
-__all__ = ["analyze_source", "analyze_file", "analyze_paths"]
+__all__ = ["analyze_source", "analyze_paths"]
 
 #: Methods that create kernel events (the SL203 family), with the
 #: argument-count gates that keep dict.get()/list-like APIs out.
@@ -665,17 +665,13 @@ def _analyze_parsed(
                 make_diagnostic(rule, message, label, line=line))
 
         _check_negative_delays(parsed.tree, emit)
-        cfg_cache = parsed.derived.setdefault("cfg", {})
         for qualname, func in function_defs(parsed.tree):
             if not _is_process_function(func):
                 continue
             _check_yields(label, func, emit)
             _check_starvation(label, func, emit)
-            cfg = cfg_cache.get(qualname)
-            if cfg is None or cfg.func is not func:
-                cfg = build_cfg(func)
-                cfg_cache[qualname] = cfg
-            _FunctionFlow(label, qualname, func, cfg, emit).run()
+            _FunctionFlow(label, qualname, func, build_cfg(func),
+                          emit).run()
             lock_edges.extend(_collect_lock_edges(label, qualname,
                                                   func))
 
@@ -718,12 +714,6 @@ def analyze_source(
     return _analyze_parsed([(path, parse_source(source, path))])
 
 
-def analyze_file(path: str | Path) -> list[Diagnostic]:
-    """Analyze one file (through the shared AST cache)."""
-    path = Path(path)
-    return _analyze_parsed([(str(path), parse_file(path))])
-
-
 def analyze_paths(
     paths: Iterable[str | Path], root: str | Path | None = None
 ) -> list[Diagnostic]:
@@ -734,20 +724,4 @@ def analyze_paths(
     SF307 interprocedural.  ``root`` relativizes subjects, matching
     :func:`repro.check.simlint.lint_paths`.
     """
-    files: list[Path] = []
-    for entry in paths:
-        entry = Path(entry)
-        if entry.is_dir():
-            files.extend(sorted(entry.rglob("*.py")))
-        else:
-            files.append(entry)
-    labelled: list[tuple[str, ParsedFile]] = []
-    for file in files:
-        label = file
-        if root is not None:
-            try:
-                label = file.relative_to(root)
-            except ValueError:
-                label = file
-        labelled.append((str(label), parse_file(file)))
-    return _analyze_parsed(labelled)
+    return _analyze_parsed(parse_paths(paths, root))

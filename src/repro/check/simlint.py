@@ -47,12 +47,12 @@ import ast
 from pathlib import Path
 from typing import Iterable
 
-from repro.check.astcache import parse_file, parse_source
 from repro.check.cfg import is_generator as _cfg_is_generator
 from repro.check.diagnostics import Diagnostic, make_diagnostic
+from repro.check.parse import ParsedFile, parse_paths, parse_source
 from repro.check.pragmas import collect_pragmas, filter_suppressed
 
-__all__ = ["lint_source", "lint_file", "lint_paths", "ImportTable"]
+__all__ = ["lint_source", "lint_paths", "ImportTable"]
 
 #: random.* members that are constructors/introspection, not draws
 #: from the hidden global generator.
@@ -370,7 +370,7 @@ class _Linter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _lint_parsed(parsed, path: str) -> list[Diagnostic]:
+def _lint_parsed(parsed: ParsedFile, path: str) -> list[Diagnostic]:
     pragmas = collect_pragmas(parsed.source)
     if pragmas.skip_file:
         return []
@@ -391,38 +391,16 @@ def lint_source(
     return _lint_parsed(parse_source(source, path), path)
 
 
-def lint_file(path: str | Path) -> list[Diagnostic]:
-    """Lint one file (through the shared AST cache)."""
-    path = Path(path)
-    return _lint_parsed(parse_file(path), str(path))
-
-
 def lint_paths(
     paths: Iterable[str | Path], root: str | Path | None = None
 ) -> list[Diagnostic]:
     """Lint files and directories (recursing into ``*.py``).
 
     ``root``, when given, relativizes diagnostic subjects so output is
-    stable across machines.  Parsing goes through the shared
-    mtime-keyed AST cache, so a subsequent simflow pass (or a repeat
-    lint of an unchanged tree) does not re-parse.
+    stable across machines.  :func:`repro.check.check_repository`
+    runs this pass and the flow pass over one shared parse.
     """
-    files: list[Path] = []
-    for entry in paths:
-        entry = Path(entry)
-        if entry.is_dir():
-            files.extend(sorted(entry.rglob("*.py")))
-        else:
-            files.append(entry)
     diagnostics: list[Diagnostic] = []
-    for file in files:
-        label = file
-        if root is not None:
-            try:
-                label = file.relative_to(root)
-            except ValueError:
-                label = file
-        diagnostics.extend(
-            _lint_parsed(parse_file(file), str(label))
-        )
+    for label, parsed in parse_paths(paths, root):
+        diagnostics.extend(_lint_parsed(parsed, label))
     return diagnostics

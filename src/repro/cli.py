@@ -450,24 +450,6 @@ def _cmd_check(args) -> int:
             models=do_models, lint=do_lint, flow=do_flow,
             lint_targets=lint_targets or None))
 
-    baseline_path = Path(args.baseline_file)
-    stale: list[dict] = []
-    if args.baseline == "write":
-        repro_check.write_baseline(diagnostics, baseline_path)
-        print(f"baseline: wrote {len(diagnostics)} finding(s) to "
-              f"{baseline_path}")
-        return 0
-    if args.baseline == "compare":
-        if not baseline_path.exists():
-            print(f"no baseline file at {baseline_path}; run "
-                  f"`repro check --baseline write` first",
-                  file=sys.stderr)
-            return 2
-        comparison = repro_check.compare_baseline(
-            diagnostics, repro_check.load_baseline(baseline_path))
-        diagnostics = comparison.new
-        stale = comparison.stale
-
     threshold = Severity.WARNING if args.strict else Severity.ERROR
     failing = [d for d in diagnostics if d.severity >= threshold]
     if args.out:
@@ -492,10 +474,6 @@ def _cmd_check(args) -> int:
         print(f"checked: {counts['error']} error(s), "
               f"{counts['warning']} warning(s), "
               f"{counts['info']} info")
-        for entry in stale:
-            print(f"baseline: stale entry {entry['fingerprint']} "
-                  f"({entry['rule']} at {entry['subject']}) — "
-                  f"finding fixed; refresh with --baseline write")
     return 1 if failing else 0
 
 
@@ -733,15 +711,6 @@ def main(argv: list[str] | None = None) -> int:
     check_parser.add_argument(
         "--sarif", default=None, metavar="FILE",
         help="also write findings as a SARIF 2.1.0 document")
-    check_parser.add_argument(
-        "--baseline", choices=("write", "compare"), default=None,
-        help="record current findings as accepted debt (write), or "
-             "subtract the recorded debt and report stale entries "
-             "(compare)")
-    check_parser.add_argument(
-        "--baseline-file", default=".repro-baseline.json",
-        metavar="FILE", help="baseline path "
-                             "(default .repro-baseline.json)")
     check_parser.add_argument(
         "--strict", action="store_true",
         help="fail (exit 1) on warnings too, not just errors")

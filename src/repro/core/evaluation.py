@@ -398,6 +398,8 @@ class AnalyticalEvaluator:
             sojourn[name] = upstream + transfer + service + wait
 
         # Loss: independent M/M/1/K blocking at each channel buffer.
+        from repro.analysis.queueing import MM1K
+
         survival = 1.0
         for channel in self.app.channels:
             lam = rates[channel.src]
@@ -405,9 +407,11 @@ class AnalyticalEvaluator:
             pe = self.platform.pe(self.mapping.pe_of(channel.dst))
             mu = (pe.frequency / consumer.cycles_mean
                   if consumer.cycles_mean > 0 else math.inf)
-            survival *= 1.0 - _mm1k_blocking(
+            if lam <= 0 or math.isinf(mu):
+                continue  # nothing arrives, or nothing ever waits
+            survival *= 1.0 - MM1K(
                 lam, mu, channel.buffer_capacity
-            )
+            ).blocking_probability()
         loss_rate = 1.0 - survival
 
         sink_rate = sum(
@@ -437,13 +441,3 @@ class AnalyticalEvaluator:
         metrics = {f"util:{pe}": u for pe, u in utils.items()}
         metrics["average_power"] = power + comm_power
         return EvaluationResult(qos=qos, metrics=metrics)
-
-
-def _mm1k_blocking(lam: float, mu: float, k: int) -> float:
-    """Blocking probability of an M/M/1/K queue (K waiting+service slots)."""
-    if lam <= 0 or math.isinf(mu):
-        return 0.0
-    rho = lam / mu
-    if abs(rho - 1.0) < 1e-12:
-        return 1.0 / (k + 1)
-    return (1 - rho) * rho**k / (1 - rho ** (k + 1))

@@ -200,7 +200,7 @@ def ids() -> list[str]:
     return list(_REGISTRY)
 
 
-def preflight(exp_id: str, *, flow: bool = False) -> list:
+def preflight(exp_id: str) -> list:
     """Statically verify an experiment's declared design points.
 
     The scenario hook's documents are schema-validated, built, and
@@ -209,15 +209,7 @@ def preflight(exp_id: str, *, flow: bool = False) -> list:
     and the JSON path of the offending element
     (``experiment:e3/<name>#$.scenario.task_graph.nodes[2]``).
     Experiments without a hook verify vacuously (empty list).
-
-    With ``flow=True`` the Layer-3 flow analyzer
-    (:mod:`repro.check.simflow`) also runs over the module defining
-    the experiment's runner, so the process functions the experiment
-    is about to execute get the SF3xx discipline checks before any
-    simulated time is spent on them.
     """
-    import inspect
-
     from repro import scenario as scn
 
     experiment = get(exp_id)
@@ -226,18 +218,6 @@ def preflight(exp_id: str, *, flow: bool = False) -> list:
         for diag in scn.verify(scenario):
             diag.subject = f"experiment:{experiment.id}/{diag.subject}"
             diagnostics.append(diag)
-    if flow:
-        from repro.check.simflow import analyze_file
-
-        try:
-            source = inspect.getsourcefile(experiment.runner)
-        except TypeError:
-            source = None
-        if source is not None:
-            for diag in analyze_file(source):
-                diag.subject = (f"experiment:{experiment.id}/"
-                                f"{diag.subject}")
-                diagnostics.append(diag)
     return diagnostics
 
 

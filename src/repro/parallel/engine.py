@@ -89,14 +89,13 @@ def replica_seed(master_seed: int, index: int) -> int:
     return fork_seed(master_seed, f"replica/{index}")
 
 
-def _context(start_method: str | None) -> multiprocessing.context.BaseContext:
-    if start_method is not None:
-        return multiprocessing.get_context(start_method)
-    methods = multiprocessing.get_all_start_methods()
+def _context() -> multiprocessing.context.BaseContext:
     # fork is dramatically cheaper (no re-import of the repro stack
     # per worker) and available on the platforms we target (Linux).
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # the platform has no fork
+        return multiprocessing.get_context("spawn")
 
 
 def _call_indexed(payload: tuple) -> tuple:
@@ -112,7 +111,6 @@ def parallel_map(
     items: Iterable[_T],
     *,
     workers: int | None = None,
-    start_method: str | None = None,
 ) -> list[_R]:
     """Map ``fn`` over ``items`` on a process pool, order-preserving.
 
@@ -120,11 +118,12 @@ def parallel_map(
     finishes first: each item travels with its index and the output
     is sorted by it.  ``workers=None`` uses ``os.cpu_count()``;
     the effective pool size never exceeds the number of items.
-    ``workers<=1`` maps inline in this process — only safe for *pure*
-    functions; anything touching process-global state (like
-    experiment replicas, which reset kernel counters) must go through
-    :func:`run_replicated`, which always isolates work in child
-    processes.
+    Pool workers start with ``fork`` where the platform offers it,
+    else ``spawn``.  ``workers<=1`` maps inline in this process —
+    only safe for *pure* functions; anything touching process-global
+    state (like experiment replicas, which reset kernel counters)
+    must go through :func:`run_replicated`, which always isolates
+    work in child processes.
 
     **Failure semantics:** the first item whose ``fn`` raises aborts
     the map with a :class:`~repro.parallel.supervisor.
@@ -146,7 +145,7 @@ def parallel_map(
         return [_call_indexed((fn, i, item))[1]
                 for i, item in enumerate(items)]
     payloads = [(fn, i, item) for i, item in enumerate(items)]
-    ctx = _context(start_method)
+    ctx = _context()
     with ctx.Pool(processes=workers) as pool:
         indexed = list(
             pool.imap_unordered(_call_indexed, payloads, chunksize=1)
@@ -200,7 +199,6 @@ def run_replicated(
     workers: int | None = None,
     seed: int | None = None,
     verify: bool = True,
-    start_method: str | None = None,
     replica_timeout: float | None = None,
     retries: int = 2,
     backoff_base: float = 0.05,
@@ -235,16 +233,14 @@ def run_replicated(
         workers=1 and workers=16 payloads byte-identical.  Each
         attempt gets a *fresh* process (the supervisor equivalent of
         ``maxtasksperchild=1``), so no replica ever observes
-        interpreter state left behind by another.
+        interpreter state left behind by another.  Workers start with
+        ``fork`` where the platform offers it, else ``spawn``.
     seed:
         Master seed (default 0, matching ``experiments.run``).
     verify:
         Pre-flight the experiment's models in the **parent** before
         any worker starts (fail fast, once) and skip re-verification
         in the workers.
-    start_method:
-        Multiprocessing start method override (default: ``fork``
-        where available, else ``spawn``).
     replica_timeout:
         Per-attempt wall-clock budget in seconds; a replica past it is
         terminated and retried.  ``None`` (default) waits forever.
@@ -373,7 +369,7 @@ def run_replicated(
         tasks,
         worker=_run_replica,
         make_payload=make_payload,
-        ctx=_context(start_method),
+        ctx=_context(),
         workers=workers,
         policy=policy,
         rng=rng,

@@ -74,10 +74,10 @@ class TestCatalog:
         for module in ("repro.check.model", "repro.check.simlint",
                        "repro.check.simflow", "repro.check.cfg",
                        "repro.check.taint", "repro.check.pragmas",
-                       "repro.check.astcache"):
+                       "repro.check.parse"):
             assert module in analysis, module
         # The engine features are documented where they surface.
-        for feature in ("--sarif", "--baseline", "fingerprint"):
+        for feature in ("--sarif", "fingerprint"):
             assert feature in analysis, feature
         # README and the modeling guide point at the catalog and
         # mention the flow layer.
@@ -203,3 +203,26 @@ class TestDiagnosticLocation:
         diag = Diagnostic("SL201", Severity.ERROR, "m", "a.py",
                           line=3)
         assert diag.location == "a.py:3"
+
+
+def finding(rule="SF303", msg="leak of 'req' (line 10)",
+            path="src/a.py", line=10):
+    return make_diagnostic(rule, msg, path, line=line)
+
+
+class TestFingerprint:
+    def test_stable_across_line_shifts(self):
+        # Same defect, code moved 30 lines down (message and line
+        # both renumber): identical fingerprint.
+        a = finding(msg="leak of 'req' (line 10)", line=10)
+        b = finding(msg="leak of 'req' (line 40)", line=40)
+        assert a.fingerprint == b.fingerprint
+
+    def test_sensitive_to_rule_subject_and_text(self):
+        base = finding()
+        assert (finding(rule="SF301").fingerprint
+                != base.fingerprint)
+        assert (finding(path="src/b.py").fingerprint
+                != base.fingerprint)
+        assert (finding(msg="leak of 'other'").fingerprint
+                != base.fingerprint)

@@ -13,7 +13,6 @@ from repro.check import (
     Severity,
     builtin_model_checks,
     check_models,
-    check_repository,
     default_lint_paths,
     repository_root,
 )
@@ -32,10 +31,9 @@ class TestRepositoryClean:
         for path in default_lint_paths(repository_root()):
             assert path.is_dir()
 
-    def test_repository_is_clean_under_strict(self):
+    def test_repository_is_clean_under_strict(self, repository_scan):
         # The acceptance criterion: `repro check --strict` exits 0.
-        diags = check_repository()
-        offenders = [d for d in diags
+        offenders = [d for d in repository_scan.diagnostics
                      if d.severity >= Severity.WARNING]
         assert offenders == [], "\n".join(str(d) for d in offenders)
 

@@ -149,13 +149,16 @@ class TestDeterminism:
 
 
 class TestCliSarif:
-    def test_check_writes_sarif_file(self, tmp_path, capsys):
+    def test_check_writes_sarif_file(self, tmp_path,
+                                     shared_check_repository, capsys):
         out = tmp_path / "check.sarif"
         assert main(["check", "--flow", "--sarif", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["version"] == "2.1.0"
         assert doc["runs"][0]["tool"]["driver"]["name"] \
             == "repro-check"
+        assert shared_check_repository == [
+            {"models": False, "lint": False, "flow": True}]
 
     def test_sarif_captures_findings(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"

@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from repro.check import Severity, check_repository
+from repro.check import Severity
 from repro.check.simflow import analyze_paths, analyze_source
 
 
@@ -476,56 +476,11 @@ class TestProjectWideAnalysis:
 
 
 class TestRepositoryGate:
-    def test_repo_flow_layer_is_clean(self):
+    def test_repo_flow_layer_is_clean(self, repository_scan):
         # The acceptance criterion: the Layer-3 pass over the repo's
         # own sources (src/, benchmarks/, examples/) finds nothing
         # unsuppressed.
-        diags = check_repository(models=False, lint=False, flow=True)
+        diags = [d for d in repository_scan.diagnostics
+                 if d.rule.startswith("SF3")]
         assert diags == [], "\n".join(str(d) for d in diags)
 
-
-class TestPreflightFlow:
-    def test_preflight_flow_runs_simflow_on_runner_module(self):
-        from repro import experiments
-
-        # Every registered experiment's runner module must be
-        # flow-clean, and the subjects must carry the experiment id.
-        for exp_id in experiments.ids():
-            diags = experiments.preflight(exp_id, flow=True)
-            flow_diags = [d for d in diags
-                          if d.rule.startswith("SF3")]
-            assert flow_diags == [], "\n".join(
-                str(d) for d in flow_diags)
-
-    def test_preflight_flow_flags_defective_runner(self, tmp_path,
-                                                   monkeypatch):
-        import sys
-
-        from repro import experiments
-        from repro.experiments.registry import _REGISTRY
-
-        module_path = tmp_path / "defective_runner.py"
-        module_path.write_text(textwrap.dedent("""
-            def runner(ctx):
-                import time
-
-                def proc(env):
-                    yield env.timeout(time.time() % 1.0)
-                return proc
-        """))
-        sys.path.insert(0, str(tmp_path))
-        try:
-            import defective_runner
-
-            monkeypatch.setitem(
-                _REGISTRY, "zz-flow-test",
-                experiments.Experiment(
-                    id="zz-flow-test", claim="test",
-                    runner=defective_runner.runner))
-            diags = experiments.preflight("zz-flow-test", flow=True)
-            assert [d.rule for d in diags] == ["SF307"]
-            assert diags[0].subject.startswith(
-                "experiment:zz-flow-test/")
-        finally:
-            sys.path.remove(str(tmp_path))
-            sys.modules.pop("defective_runner", None)

@@ -266,3 +266,23 @@ class TestAnalyticalEvaluator:
             app, two_pe_platform(), spread_mapping()
         ).evaluate()
         assert ana.qos.loss_rate > 0.2
+
+    @pytest.mark.parametrize("cycles, capacity", [
+        # mid's service rate 150e6 / 5e6 = 30/s meets the 30/s arrivals
+        # exactly (rho = 1); dst runs at rho = 0.6.
+        ((1_000.0, 5_000_000.0, 4_000_000.0), 3),
+        # Overloaded mid (rho = 2) and underloaded dst (rho = 0.15).
+        ((1_000.0, 10_000_000.0, 1_000_000.0), 5),
+    ])
+    def test_loss_rate_matches_mm1k_queues(self, cycles, capacity):
+        from repro.analysis import MM1K
+
+        app = pipeline_app(rate=30.0, cycles=cycles, capacity=capacity)
+        ana = AnalyticalEvaluator(
+            app, two_pe_platform(), spread_mapping()
+        ).evaluate()
+        survival = ((1 - MM1K(30.0, 150e6 / cycles[1],
+                              capacity).blocking_probability())
+                    * (1 - MM1K(30.0, 200e6 / cycles[2],
+                                capacity).blocking_probability()))
+        assert ana.qos.loss_rate == pytest.approx(1 - survival)

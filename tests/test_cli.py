@@ -172,18 +172,26 @@ class TestReportRendering:
         assert "exactly one" in capsys.readouterr().err
 
 
+#: Layer flags of a ``repro check`` with no layer option.
+ALL_LAYERS = {"models": True, "lint": True, "flow": True}
+
+
 class TestCheckCommand:
-    def test_check_repo_is_clean_strict(self, capsys):
+    def test_check_repo_is_clean_strict(self, shared_check_repository,
+                                        capsys):
         assert main(["check", "--strict"]) == 0
         out = capsys.readouterr().out
         assert "0 error(s), 0 warning(s)" in out
+        assert shared_check_repository == [ALL_LAYERS]
 
-    def test_check_json_document_shape(self, capsys):
+    def test_check_json_document_shape(self, shared_check_repository,
+                                       capsys):
         assert main(["check", "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["version"] == 1
         assert set(document["counts"]) == {"error", "warning", "info"}
         assert document["diagnostics"] == []
+        assert shared_check_repository == [ALL_LAYERS]
 
     def test_check_lint_flags_violations(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
@@ -200,13 +208,14 @@ class TestCheckCommand:
                      str(warn_only)]) == 1
         capsys.readouterr()
 
-    def test_check_out_writes_diagnostics_file(self, tmp_path,
-                                               capsys):
+    def test_check_out_writes_diagnostics_file(
+            self, tmp_path, shared_check_repository, capsys):
         out_file = tmp_path / "reports" / "check.json"
         assert main(["check", "--out", str(out_file)]) == 0
         capsys.readouterr()
         document = json.loads(out_file.read_text())
         assert document["version"] == 1
+        assert shared_check_repository == [ALL_LAYERS]
 
     def test_check_missing_path_is_usage_error(self, capsys):
         assert main(["check", "--lint", "does/not/exist.py"]) == 2
