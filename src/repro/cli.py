@@ -537,8 +537,7 @@ def _cmd_scenario_generate(args) -> int:
 
     report = generate_corpus(
         args.out, count=args.count, seed=args.seed,
-        workers=args.workers, app_fraction=args.app_fraction,
-        mutate=args.mutate)
+        app_fraction=args.app_fraction, mutate=args.mutate)
     print(report.summary())
     if args.min_clean is not None \
             and report.clean_fraction < args.min_clean:
@@ -755,9 +754,6 @@ def main(argv: list[str] | None = None) -> int:
                                  metavar="DIR",
                                  help="corpus directory "
                                       "(default corpus/)")
-    generate_parser.add_argument(
-        "--workers", type=int, default=None, metavar="K",
-        help="sampling processes (output is identical for any K)")
     generate_parser.add_argument(
         "--mutate", type=float, default=0.0, metavar="P",
         help="probability of injecting a deliberate defect per "

@@ -26,13 +26,12 @@ checkpoint journal an interrupted sweep can ``resume=`` from, and —
 because a retried replica reruns the *same* derived seed — keeps the
 byte-identical merge contract intact through all of it.
 
-:func:`parallel_map` is the underlying generic primitive, also used
-by the SA mapper's multi-start mode
-(:func:`repro.noc.parallel_annealing_mapping`) and the scenario
-corpus generator (``repro scenario generate --workers``).
+:func:`parallel_map` is the generic all-or-nothing primitive on the
+same supervisor (no retries), used by the SA mapper's multi-start
+mode (:func:`repro.noc.parallel_annealing_mapping`).
 
 This module is the **only** sanctioned home for ``multiprocessing``
-in the repository: the SL206 lint rule flags process-pool usage
+in the repository: the SL206 lint rule flags process fan-out
 anywhere else, because ad-hoc pools silently break the seed-derivation
 and counter-merging contracts centralised here.
 """
@@ -98,12 +97,14 @@ def _context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context("spawn")
 
 
-def _call_indexed(payload: tuple) -> tuple:
+def _call_captured(payload: tuple) -> tuple:
+    """One :func:`parallel_map` item as ``(index, result, error)``; the
+    error is a value so its type survives the trip from a worker."""
     fn, index, item = payload
     try:
-        return index, fn(item)
+        return index, fn(item), None
     except Exception as exc:
-        raise ParallelItemError(index, item, exc) from exc
+        return index, None, exc
 
 
 def parallel_map(
@@ -112,28 +113,25 @@ def parallel_map(
     *,
     workers: int | None = None,
 ) -> list[_R]:
-    """Map ``fn`` over ``items`` on a process pool, order-preserving.
+    """Map ``fn`` over ``items`` on worker processes, in input order.
 
-    Results come back in **input order** no matter which worker
-    finishes first: each item travels with its index and the output
-    is sorted by it.  ``workers=None`` uses ``os.cpu_count()``;
-    the effective pool size never exceeds the number of items.
-    Pool workers start with ``fork`` where the platform offers it,
-    else ``spawn``.  ``workers<=1`` maps inline in this process —
-    only safe for *pure* functions; anything touching process-global
-    state (like experiment replicas, which reset kernel counters)
-    must go through :func:`run_replicated`, which always isolates
-    work in child processes.
+    ``workers=None`` uses ``os.cpu_count()``, capped at the number of
+    items.  Each item runs in a fresh process under
+    :func:`~repro.parallel.supervisor.supervise` (``fork`` where the
+    platform offers it, else ``spawn``).  ``workers<=1`` maps inline
+    in this process — only safe for *pure* functions; anything
+    touching process-global state (like experiment replicas, which
+    reset kernel counters) must go through :func:`run_replicated`.
 
-    **Failure semantics:** the first item whose ``fn`` raises aborts
-    the map with a :class:`~repro.parallel.supervisor.
-    ParallelItemError` carrying the input ``index``, the ``item``
-    itself, and the ``original`` exception (chained via ``from``
-    inline; attached as ``.original`` across the pool).  In-flight
-    siblings are terminated with the pool and their results
-    discarded — ``parallel_map`` is all-or-nothing.  Work that must
-    survive individual failures belongs in :func:`run_replicated`,
-    whose supervisor retries per replica instead of aborting.
+    **All-or-nothing:** the first item whose ``fn`` raises aborts the
+    map with a :class:`~repro.parallel.supervisor.ParallelItemError`
+    naming the input ``index`` and ``item``, with the exception as
+    ``original`` (and ``__cause__``); a worker that dies without a
+    result gives a :class:`~repro.parallel.supervisor.
+    ReplicaFailedError` as ``original``.  In-flight siblings are
+    terminated; nothing is retried.  Work that must survive
+    individual failures belongs in :func:`run_replicated`, whose
+    supervisor retries per replica.
     """
     items = list(items)
     if not items:
@@ -141,17 +139,32 @@ def parallel_map(
     if workers is None:
         workers = multiprocessing.cpu_count()
     workers = max(1, min(int(workers), len(items)))
+
+    def unwrap(outcome: tuple) -> Any:
+        index, result, error = outcome
+        if error is not None:
+            raise ParallelItemError(index, items[index], error) from error
+        return result
+
     if workers <= 1:
-        return [_call_indexed((fn, i, item))[1]
+        return [unwrap(_call_captured((fn, i, item)))
                 for i, item in enumerate(items)]
-    payloads = [(fn, i, item) for i, item in enumerate(items)]
-    ctx = _context()
-    with ctx.Pool(processes=workers) as pool:
-        indexed = list(
-            pool.imap_unordered(_call_indexed, payloads, chunksize=1)
+    try:
+        outcomes, _ = supervise(
+            [(index, 0) for index in range(len(items))],
+            worker=_call_captured,
+            make_payload=lambda index, _seed, _attempt: (
+                fn, index, items[index]),
+            ctx=_context(),
+            workers=workers,
+            policy=SupervisorPolicy(retries=0),
+            rng=random.Random(0),
+            on_result=unwrap,
         )
-    indexed.sort(key=lambda pair: pair[0])
-    return [result for _, result in indexed]
+    except ReplicaFailedError as error:
+        raise ParallelItemError(
+            error.index, items[error.index], error) from error
+    return [unwrap(outcomes[index]) for index in range(len(items))]
 
 
 def _run_replica(payload: tuple) -> ReplicaResult:
@@ -202,7 +215,6 @@ def run_replicated(
     replica_timeout: float | None = None,
     retries: int = 2,
     backoff_base: float = 0.05,
-    backoff_max: float = 2.0,
     partial: bool = False,
     checkpoint: str | Path | None = None,
     resume: str | Path | None = None,
@@ -231,8 +243,7 @@ def run_replicated(
         global kernel counters, so running it inline would clobber
         the parent's, and keeping one code path is what makes the
         workers=1 and workers=16 payloads byte-identical.  Each
-        attempt gets a *fresh* process (the supervisor equivalent of
-        ``maxtasksperchild=1``), so no replica ever observes
+        attempt gets a *fresh* process, so no replica ever observes
         interpreter state left behind by another.  Workers start with
         ``fork`` where the platform offers it, else ``spawn``.
     seed:
@@ -248,9 +259,9 @@ def run_replicated(
         Extra attempts after the first for a crashed, hung, or
         erroring replica (default 2; every attempt reruns the same
         derived seed, so retries never change the merged payload).
-    backoff_base, backoff_max:
-        Exponential-backoff window between attempts, stretched by
-        deterministic jitter from a seed-derived RNG.
+    backoff_base:
+        First delay of the exponential backoff between attempts,
+        stretched by deterministic jitter from a seed-derived RNG.
     partial:
         When a replica exhausts every attempt, merge the surviving
         replicas (with the casualties accounted in
@@ -352,7 +363,6 @@ def run_replicated(
         timeout=replica_timeout,
         retries=retries,
         backoff_base=backoff_base,
-        backoff_max=backoff_max,
         partial=partial,
     )
     # Jitter draws are seeded off the master so a sweep's retry

@@ -1,11 +1,11 @@
-"""Fault-tolerant supervision of replica workers.
+"""Fault-tolerant supervision of worker processes.
 
-:mod:`repro.parallel.engine` fans replicas onto worker processes; this
-module is the layer that keeps a sweep alive when those processes
-misbehave.  The supervisor owns one :class:`multiprocessing.Process`
-per replica *attempt* (the same fresh-process-per-replica isolation
-the old ``maxtasksperchild=1`` pool gave) and a result pipe per
-process, and multiplexes them through
+:mod:`repro.parallel.engine` fans replicas (and ``parallel_map`` items)
+onto worker processes; this module is the layer that keeps a sweep
+alive when those processes misbehave.  The supervisor owns one
+:class:`multiprocessing.Process` per task *attempt* (a fresh process
+every time, so no task observes state left behind by another) and a
+result pipe per process, and multiplexes them through
 :func:`multiprocessing.connection.wait`:
 
 * a replica that exceeds :attr:`SupervisorPolicy.timeout` wall-clock
@@ -81,6 +81,15 @@ FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 #: fixed value just makes chaos tests recognisable in process tables.
 CRASH_EXIT_CODE = 23
 
+#: Largest fraction by which seeded jitter stretches a backoff delay.
+JITTER = 0.25
+#: Crashes in a row before each further one drops a worker slot.
+CRASH_SHRINK_AFTER = 2
+#: Give up after this many failed process spawns.
+MAX_SPAWN_FAILURES = 8
+#: Seconds between SIGTERM and SIGKILL for a timed-out worker.
+TERM_GRACE = 2.0
+
 
 # ----------------------------------------------------------------------
 # Failure vocabulary
@@ -95,8 +104,8 @@ class ParallelItemError(RuntimeError):
     Wraps the worker exception so the parent knows *which* item broke:
     ``index`` is the position in the input iterable, ``item`` the input
     value itself, and ``original`` the exception the mapped function
-    raised (re-raised from it, so the chain survives inline; across a
-    pool the original rides along as an attribute).
+    raised, or the :class:`ReplicaFailedError` of a worker that died
+    without a result.
     """
 
     def __init__(self, index: int, item: Any, original: BaseException):
@@ -110,7 +119,7 @@ class ParallelItemError(RuntimeError):
 
     def __reduce__(self):
         # Default exception pickling replays __init__ with the str
-        # message only; preserve the structured fields across the pool.
+        # message only; preserve the structured fields across processes.
         return (type(self), (self.index, self.item, self.original))
 
 
@@ -380,24 +389,16 @@ class SupervisorPolicy:
     forever); ``retries`` is *extra* attempts after the first, so a
     replica runs at most ``retries + 1`` times.  Backoff before
     attempt ``n+1`` is ``min(backoff_max, backoff_base * 2**(n-1))``
-    stretched by up to ``jitter`` (a fraction, drawn from the seeded
-    supervisor RNG so sweeps stay reproducible).  ``partial`` merges
-    the survivors of exhausted replicas instead of raising.
+    stretched by up to :data:`JITTER` (a fraction, drawn from the
+    seeded supervisor RNG so sweeps stay reproducible).  ``partial``
+    merges the survivors of exhausted replicas instead of raising.
     """
 
     timeout: float | None = None
     retries: int = 2
     backoff_base: float = 0.05
     backoff_max: float = 2.0
-    jitter: float = 0.25
     partial: bool = False
-    #: Consecutive crashes before each further crash shrinks the
-    #: effective worker count by one (graceful degradation toward 1).
-    crash_shrink_after: int = 2
-    #: Give up after this many failed process spawns.
-    max_spawn_failures: int = 8
-    #: Seconds between SIGTERM and SIGKILL for a timed-out worker.
-    term_grace: float = 2.0
 
 
 @dataclass
@@ -413,10 +414,11 @@ class _Running:
     process: Any
     conn: Any
     task: _Attempt
+    started: float
     deadline: float | None
 
 
-def _worker_shell(fn: Callable[[tuple], ReplicaResult],
+def _worker_shell(fn: Callable[[tuple], Any],
                   payload: tuple, conn,
                   telemetry: float | None = None,
                   inherited: Sequence[Any] = ()) -> None:
@@ -476,11 +478,11 @@ def _worker_shell(fn: Callable[[tuple], ReplicaResult],
         conn.close()
 
 
-def _kill(process, grace: float) -> None:
+def _kill(process) -> None:
     """Terminate a worker: SIGTERM, a short grace, then SIGKILL."""
     if process.is_alive():
         process.terminate()
-        process.join(grace)
+        process.join(TERM_GRACE)
     if process.is_alive():
         process.kill()
     process.join()
@@ -490,29 +492,31 @@ def _backoff(policy: SupervisorPolicy, attempt: int,
              rng: random.Random) -> float:
     base = min(policy.backoff_max,
                policy.backoff_base * (2 ** max(0, attempt - 1)))
-    return base * (1.0 + policy.jitter * rng.random())
+    return base * (1.0 + JITTER * rng.random())
 
 
 def supervise(
     tasks: Sequence[tuple[int, int]],
     *,
-    worker: Callable[[tuple], ReplicaResult],
+    worker: Callable[[tuple], Any],
     make_payload: Callable[[int, int, int], tuple],
     ctx,
     workers: int,
     policy: SupervisorPolicy,
     rng: random.Random,
-    on_result: Callable[[ReplicaResult], None] | None = None,
+    on_result: Callable[[Any], None] | None = None,
     telemetry: float | None = None,
     on_event: Callable[[str, dict[str, Any]], None] | None = None,
-) -> tuple[dict[int, ReplicaResult], list[ReplicaFailure]]:
-    """Run ``tasks`` (``(replica index, seed)`` pairs) to completion
-    under the fault-tolerance ``policy``.
+) -> tuple[dict[int, Any], list[ReplicaFailure]]:
+    """Run ``tasks`` (``(index, seed)`` pairs) to completion under the
+    fault-tolerance ``policy``.
 
     Spawns one fresh process per attempt (``worker`` receives
-    ``make_payload(index, seed, attempt)``), collects results
-    asynchronously, retries timeouts/crashes/errors with backoff, and
-    returns ``(results by index, exhausted failures)``.  Raises
+    ``make_payload(index, seed, attempt)`` and returns any picklable
+    value), collects results asynchronously, retries
+    timeouts/crashes/errors with backoff, and returns ``(results by
+    index, exhausted failures)``.  An ``on_result`` raise aborts the
+    sweep.  Raises
     :class:`ReplicaFailedError` at the first exhausted replica unless
     ``policy.partial``.  On *any* exit — including
     ``KeyboardInterrupt`` — every child still running is terminated
@@ -542,7 +546,7 @@ def supervise(
         for index, seed in tasks
     ]
     running: list[_Running] = []
-    results: dict[int, ReplicaResult] = {}
+    results: dict[int, Any] = {}
     failures: list[ReplicaFailure] = []
     effective = max(1, min(int(workers), max(1, len(pending))))
     spawn_failures = 0
@@ -553,7 +557,7 @@ def supervise(
         nonlocal crash_streak, effective
         if crashed:
             crash_streak += 1
-            if crash_streak > policy.crash_shrink_after:
+            if crash_streak > CRASH_SHRINK_AFTER:
                 effective = max(1, effective - 1)
         if task.attempt <= policy.retries:
             pending.append(_Attempt(
@@ -589,12 +593,12 @@ def supervise(
         record.process.join()
         if kind == "ok":
             crash_streak = 0
-            value.attempts = record.task.attempt
             results[record.task.index] = value
             emit("done", {"index": record.task.index,
                           "seed": record.task.seed,
                           "attempts": record.task.attempt,
-                          "wall_seconds": value.wall_seconds})
+                          "wall_seconds": (time.perf_counter()
+                                           - record.started)})
             if on_result is not None:
                 on_result(value)
         else:
@@ -624,12 +628,11 @@ def supervise(
                         [record.conn for record in running]
                         + [parent_conn]
                         if method == "fork" else [])
-                    # daemon=True (like the old Pool's workers): if a
-                    # signal lands between start() and the bookkeeping
-                    # below, interpreter exit *terminates* the stray
-                    # child instead of joining it — joining would
-                    # deadlock against a worker that only quits once
-                    # its parent is gone.
+                    # daemon=True: if a signal lands between start()
+                    # and the bookkeeping below, interpreter exit
+                    # *terminates* the stray child instead of joining
+                    # it — joining would deadlock against a worker
+                    # that only quits once its parent is gone.
                     process = ctx.Process(
                         target=_worker_shell,
                         args=(worker,
@@ -641,7 +644,7 @@ def supervise(
                     process.start()
                 except OSError as error:
                     spawn_failures += 1
-                    if spawn_failures >= policy.max_spawn_failures:
+                    if spawn_failures >= MAX_SPAWN_FAILURES:
                         raise
                     # Degrade instead of aborting: halve the pool and
                     # back the task off — fork failures are almost
@@ -658,6 +661,7 @@ def supervise(
                     process=process,
                     conn=parent_conn,
                     task=task,
+                    started=now,
                     deadline=(now + policy.timeout
                               if policy.timeout is not None else None),
                 ))
@@ -706,7 +710,7 @@ def supervise(
                            if r.deadline is not None
                            and r.deadline <= now]:
                 running.remove(record)
-                _kill(record.process, policy.term_grace)
+                _kill(record.process)
                 record.conn.close()
                 # The wall clock only decides *whether* a hung
                 # replica is retried; the retry reuses the replica's
@@ -723,7 +727,7 @@ def supervise(
         # Ctrl-C, a raise, or a clean return all come through here:
         # no child may outlive the sweep.
         for record in running:
-            _kill(record.process, policy.term_grace)
+            _kill(record.process)
             record.conn.close()
 
     return results, failures

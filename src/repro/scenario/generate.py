@@ -9,9 +9,9 @@ shrunk by :func:`minimize` to the smallest sub-scenario that still
 trips the same rule before being saved as a corpus fixture.
 
 Determinism contract: sample ``i`` depends **only** on
-``(master seed, i)`` — never on other samples, wall clock, or worker
-count — so ``generate(seed=s)`` is byte-identical across runs and
-across ``workers`` ∈ {1, N} (the corpus determinism gate in CI).
+``(master seed, i)`` — never on other samples, sampling order, or wall
+clock — so ``generate(seed=s)`` is byte-identical across runs (the
+corpus determinism gate in CI).
 
 The ``mutate`` knob deliberately injects one model defect per sampled
 scenario with the given probability (default 0: the corpus is clean).
@@ -147,19 +147,9 @@ class ScenarioGenerator:
         return GeneratedScenario(index=index, scenario=scenario,
                                  diagnostics=diagnostics)
 
-    def generate(self, count: int, workers: int | None = None
-                 ) -> list[GeneratedScenario]:
-        """Sample ``count`` scenarios (optionally on a worker pool).
-
-        The result is identical for every ``workers`` value because
-        each sample depends only on its own index.
-        """
-        indices = list(range(count))
-        if workers is None or workers <= 1 or count <= 1:
-            return [self.sample(i) for i in indices]
-        from repro.parallel import parallel_map
-
-        return parallel_map(self.sample, indices, workers=workers)
+    def generate(self, count: int) -> list[GeneratedScenario]:
+        """Sample scenarios ``0 .. count-1`` in this process."""
+        return [self.sample(i) for i in range(count)]
 
     # ------------------------------------------------------------------
     # Samplers
@@ -493,7 +483,6 @@ def generate_corpus(
     out_dir: str | Path,
     count: int,
     seed: int = 0,
-    workers: int | None = None,
     app_fraction: float = 0.7,
     mutate: float = 0.0,
 ) -> CorpusReport:
@@ -502,8 +491,8 @@ def generate_corpus(
     Clean samples are written as ``s<index>.json``; oracle
     counterexamples are minimized and written under
     ``counterexamples/`` with the failing rules recorded in ``meta``.
-    The directory contents are byte-identical for any ``workers``
-    value and across repeated runs with the same seed.
+    The directory contents are byte-identical across repeated runs
+    with the same seed.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -511,7 +500,7 @@ def generate_corpus(
                                   app_fraction=app_fraction,
                                   mutate=mutate)
     report = CorpusReport(seed=seed, count=count, out_dir=out_dir)
-    for sample in generator.generate(count, workers=workers):
+    for sample in generator.generate(count):
         if sample.clean:
             path = save(sample.scenario,
                         out_dir / f"{sample.scenario.name}.json")

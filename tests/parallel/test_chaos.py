@@ -5,9 +5,10 @@ crashes, hangs, and raises merges **byte-identically** (after
 :meth:`ExperimentResult.strip_timings`) to a fault-free run — a
 retried replica reruns the same derived seed, and every trace of the
 turbulence lives only in the stripped execution metadata.  The matrix
-here drives crash/hang/raise fault plans across workers 1 and 4; the
-subprocess tests cover the two ways a sweep dies from the outside
-(Ctrl-C and SIGKILL) and the checkpoint-journal resume that follows.
+here drives one plan holding a crash, a hang and a raise across
+workers 1 and 4; the subprocess tests cover the two ways a sweep dies
+from the outside (Ctrl-C and SIGKILL) and the checkpoint-journal
+resume that follows.
 """
 
 import json
@@ -27,6 +28,7 @@ from repro.parallel import (
     replica_seed,
     run_replicated,
 )
+from repro.parallel.supervisor import CRASH_EXIT_CODE
 
 _REPLICAS = 8
 _DRIVER = Path(__file__).with_name("_sweep_driver.py")
@@ -44,29 +46,30 @@ def clean_baseline():
                                     workers=1))
 
 
-def _plan(kind: str) -> FaultPlan:
-    plan = FaultPlan()
-    if kind == "crash":
-        plan.crash(0).crash(5)
-    elif kind == "hang":
-        plan.hang(2)
-    elif kind == "raise":
-        plan.raise_(1).raise_(6)
-    else:  # one of everything at once
-        plan.crash(0).hang(2).raise_(6)
-    return plan
-
-
 class TestChaosMatrix:
+    # One "mixed" plan drives all three supervisor failure paths: the
+    # pipe closing empty (crash), the deadline kill (hang) and the
+    # shipped error message (raise).
     @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("kind", ["crash", "hang", "raise", "mixed"])
+    @pytest.mark.parametrize("kind", ["mixed"])
     def test_chaos_merge_matches_clean_run(self, kind, workers,
                                            clean_baseline):
+        retries = []
+
+        def on_event(event, info):
+            if event == "retry":
+                retries.append(info["error"])
+
         result = run_replicated(
             "e14", replicas=_REPLICAS, workers=workers,
-            fault_plan=_plan(kind), replica_timeout=2.0,
-            backoff_base=0.01)
+            fault_plan=FaultPlan().crash(0).hang(2).raise_(6),
+            replica_timeout=2.0, backoff_base=0.01, on_event=on_event)
         assert _stripped(result) == clean_baseline
+        assert len(retries) == 3
+        assert sum(f"exit code {CRASH_EXIT_CODE}" in error
+                   for error in retries) == 1
+        assert sum("hung" in error for error in retries) == 1
+        assert sum("InjectedFault" in error for error in retries) == 1
 
     def test_retry_counts_land_in_report(self):
         result = run_replicated(

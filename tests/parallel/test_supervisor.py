@@ -5,9 +5,13 @@ mechanics, and the :class:`ParallelItemError` contract of
 
 import json
 import multiprocessing
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +28,10 @@ from repro.parallel import (
     parallel_map,
     supervise,
 )
+from repro.parallel import supervisor as supervisor_module
 from repro.parallel.supervisor import _backoff
+
+_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +149,7 @@ def _echo_worker(payload):
     if mode == "sleep":
         time.sleep(60)
     return ReplicaResult(index=index, seed=seed,
-                         kpis={"v": float(index)})
+                         kpis={"v": float(index)}, attempts=attempt)
 
 
 class _FlakySpawnCtx:
@@ -198,9 +205,9 @@ class TestSupervise:
         assert excinfo.value.seed == 10
         assert "RuntimeError" in str(excinfo.value)
 
-    def test_timeout_terminates_and_reports_hang(self):
-        policy = SupervisorPolicy(timeout=0.5, retries=0, partial=True,
-                                  term_grace=0.5)
+    def test_timeout_terminates_and_reports_hang(self, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "TERM_GRACE", 0.5)
+        policy = SupervisorPolicy(timeout=0.5, retries=0, partial=True)
         results, failures = _supervise([(0, 10)], "sleep", policy)
         assert results == {}
         assert len(failures) == 1
@@ -215,25 +222,26 @@ class TestSupervise:
         assert failures == []
         assert ctx.failures == 0  # the flaky spawns were all consumed
 
-    def test_relentless_spawn_failure_eventually_raises(self):
+    def test_relentless_spawn_failure_eventually_raises(
+            self, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "MAX_SPAWN_FAILURES", 4)
         ctx = _FlakySpawnCtx(failures=10_000)
         with pytest.raises(OSError):
             _supervise([(0, 10)], "ok",
-                       SupervisorPolicy(backoff_base=0.001,
-                                        max_spawn_failures=4),
-                       ctx=ctx)
+                       SupervisorPolicy(backoff_base=0.001), ctx=ctx)
+        assert ctx.failures == 10_000 - 4
 
-    def test_backoff_grows_and_caps(self):
-        policy = SupervisorPolicy(backoff_base=0.1, backoff_max=0.4,
-                                  jitter=0.0)
+    def test_backoff_grows_and_caps(self, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "JITTER", 0.0)
+        policy = SupervisorPolicy(backoff_base=0.1, backoff_max=0.4)
         rng = random.Random(0)
         delays = [_backoff(policy, attempt, rng)
                   for attempt in (1, 2, 3, 4, 5)]
         assert delays == [0.1, 0.2, 0.4, 0.4, 0.4]
 
-    def test_jitter_stretches_within_bounds(self):
-        policy = SupervisorPolicy(backoff_base=0.1, backoff_max=10.0,
-                                  jitter=0.5)
+    def test_jitter_stretches_within_bounds(self, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "JITTER", 0.5)
+        policy = SupervisorPolicy(backoff_base=0.1, backoff_max=10.0)
         rng = random.Random(1)
         for attempt in range(1, 6):
             base = min(10.0, 0.1 * 2 ** (attempt - 1))
@@ -248,6 +256,30 @@ def _explode_on_three(value):
     if value == 3:
         raise ValueError("three is right out")
     return value * 2
+
+
+def _explode_first_sleep_rest(value):
+    if value == 0:
+        raise ValueError("zero fails at once")
+    time.sleep(60)
+    return value
+
+
+_CRASH_SCRIPT = """
+import os
+from repro.parallel import ParallelItemError, parallel_map
+
+def die_on_two(value):
+    if value == 2:
+        os._exit(1)
+    return value
+
+try:
+    parallel_map(die_on_two, [0, 1, 2, 3], workers=2)
+except ParallelItemError as error:
+    print(error.index, error.item, type(error.original).__name__,
+          "exit code 1" in str(error.original))
+"""
 
 
 class TestParallelItemError:
@@ -268,6 +300,30 @@ class TestParallelItemError:
         assert error.index == 2
         assert error.item == 3
         assert isinstance(error.original, ValueError)
+
+    def test_crashed_worker_names_item_instead_of_hanging(self):
+        # A child interpreter, so a hang fails by timeout instead of
+        # stalling the suite.
+        env = dict(os.environ)
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = (_SRC if not existing
+                             else _SRC + os.pathsep + existing)
+        done = subprocess.run(
+            [sys.executable, "-c", _CRASH_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [
+            "2", "2", "ReplicaFailedError", "True"]
+
+    def test_failure_leaves_no_sibling_running(self):
+        before = set(multiprocessing.active_children())
+        start = time.perf_counter()
+        with pytest.raises(ParallelItemError) as excinfo:
+            parallel_map(_explode_first_sleep_rest, [0, 1, 2],
+                         workers=2)
+        assert excinfo.value.index == 0
+        assert time.perf_counter() - start < 30.0
+        assert set(multiprocessing.active_children()) <= before
 
     def test_pickle_round_trip_keeps_fields(self):
         error = ParallelItemError(4, "item", ValueError("boom"))
