@@ -11,25 +11,27 @@ is that stage:
   errors (unreachable processes, deadlock cycles), broken mappings,
   guaranteed constraint infeasibility and unit/dimension slips.
   Rule ids ``RC1xx``.
-* **Layer 2 — simulation lint** (:mod:`repro.check.simlint`): a
-  stdlib-:mod:`ast` pass over the simulation sources enforcing DES
-  discipline — seeded RNG streams only, no wall-clock reads, kernel
-  events must be yielded, no ``==`` against simulated time.  Rule ids
-  ``SL2xx``; suppress intentional findings with
-  ``# simlint: ignore[RULE,...]`` (see :mod:`repro.check.pragmas`).
+* **Layer 2 — simulation lint** (:mod:`repro.check.simlint`):
+  statement-local DES discipline — seeded RNG streams only, no
+  wall-clock reads, kernel events must be yielded, no ``==`` against
+  simulated time.  Rule ids ``SL2xx``.
 * **Layer 3 — flow analysis** (:mod:`repro.check.simflow`):
   per-function control-flow graphs (:mod:`repro.check.cfg`) and a
   project call graph drive a flow-sensitive abstract interpretation
   of the DES-kernel API — event/resource lifecycles, lock-order
-  cycles, scheduling-in-the-past, starvation loops, and an
-  interprocedural determinism-taint pass
-  (:mod:`repro.check.taint`).  Rule ids ``SF3xx``.
+  cycles, starvation loops, and an interprocedural determinism-taint
+  pass (:mod:`repro.check.taint`).  Rule ids ``SF3xx``.
+
+Layers 2 and 3 run as one source pass (:mod:`repro.check.repo`): each
+file is parsed once, every SL and SF rule runs over the tree, and the
+file's ``# simlint: ignore[RULE,...]`` pragmas
+(:mod:`repro.check.pragmas`) are applied once.
 
 All layers report :class:`Diagnostic` records and surface through
-``repro check [--models] [--lint] [--flow] [--json] [--sarif FILE]
-[--out FILE] [--strict]`` and the experiment registry's pre-flight
-hook (``repro.experiments.run`` verifies an experiment's declared
-models before running it).
+``repro check [PATHS] [--models] [--json] [--out FILE] [--strict]``,
+:func:`check_source` and :func:`check_repository`, and the experiment
+registry's pre-flight hook (``repro.experiments.run`` verifies an
+experiment's declared models before running it).
 
 See ``docs/static_analysis.md`` for the full rule catalog.
 """
@@ -60,12 +62,10 @@ from repro.check.repo import (
     builtin_model_checks,
     check_models,
     check_repository,
+    check_source,
     default_lint_paths,
     repository_root,
 )
-from repro.check.sarif import to_sarif, to_sarif_json
-from repro.check.simflow import analyze_paths, analyze_source
-from repro.check.simlint import lint_paths, lint_source
 
 __all__ = [
     "Severity",
@@ -86,14 +86,9 @@ __all__ = [
     "verify_mapping",
     "verify_design",
     "verify_model",
-    "lint_source",
-    "lint_paths",
-    "analyze_source",
-    "analyze_paths",
-    "to_sarif",
-    "to_sarif_json",
     "builtin_model_checks",
     "check_models",
+    "check_source",
     "check_repository",
     "default_lint_paths",
     "repository_root",

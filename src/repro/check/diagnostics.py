@@ -15,9 +15,7 @@ in sync.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import re
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Mapping
@@ -121,24 +119,6 @@ class Diagnostic:
             return self.subject
         return f"{self.subject}:{self.line}"
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity of this finding across line shifts.
-
-        A hash of (rule, subject, message-with-numbers-masked): adding
-        or removing unrelated lines — which renumbers both ``line``
-        and any line references interpolated into the message — does
-        not change the fingerprint, so the JSON output's
-        ``fingerprint`` field and SARIF's ``partialFingerprints``
-        keep matching a finding across routine edits.  Moving the
-        finding to another file or changing what it says does.
-        """
-        context = re.sub(r"\d+", "#", self.message)
-        digest = hashlib.sha256(
-            f"{self.rule}|{self.subject}|{context}".encode()
-        ).hexdigest()
-        return digest[:16]
-
     def to_dict(self) -> dict:
         """JSON-ready representation (stable key order via sort_keys)."""
         return {
@@ -148,7 +128,6 @@ class Diagnostic:
             "subject": self.subject,
             "line": self.line,
             "fix_hint": self.fix_hint,
-            "fingerprint": self.fingerprint,
         }
 
     def __str__(self) -> str:
@@ -376,8 +355,9 @@ RULES: Mapping[str, Rule] = _catalog([
     ),
     Rule(
         "SL203", "kernel event not yielded", Severity.ERROR,
-        "Inside a generator process, a bare env.timeout(...)/.get()/"
-        ".put()/.request() creates an event that is never waited on: "
+        "Inside a generator process, a bare env.timeout(...)/"
+        "env.event()/.get()/.put()/.request() creates an event that "
+        "is never waited on: "
         "the process races ahead and the event leaks.",
         "Yield every kernel event: `yield env.timeout(d)`, "
         "`tok = yield queue.get()`.",
@@ -462,15 +442,6 @@ RULES: Mapping[str, Rule] = _catalog([
         "function shows the defect.",
         "Pick one global acquisition order for the cycle's "
         "resources, or merge the acquisitions into one request.",
-    ),
-    Rule(
-        "SF305", "event scheduled in the past", Severity.ERROR,
-        "A negative delay asks the kernel to schedule before `now`; "
-        "the kernel raises ValueError at run time — but only when "
-        "the path executes, which for guard/fallback branches may be "
-        "deep into a long sweep.",
-        "Clamp delays to max(0.0, delay) or fix the sign of the "
-        "computed interval.",
     ),
     Rule(
         "SF306", "infinite loop without yield", Severity.ERROR,

@@ -1,10 +1,10 @@
-"""Parsing for the AST-based analysis layers.
+"""Parsing for the source pass.
 
 The Layer-2 lint (:mod:`repro.check.simlint`) and the Layer-3 flow
-analyzer (:mod:`repro.check.simflow`) both walk the same Python
-sources, and parsing dominates the cost of both passes.
-:func:`repro.check.repo.check_repository` therefore calls
-:func:`parse_paths` once and hands the same list to both passes.
+analyzer (:mod:`repro.check.simflow`) walk the same Python sources,
+and parsing dominates the cost of both.  The source pass
+(:mod:`repro.check.repo`) therefore parses each file once and hands
+the same tree to every rule.
 """
 
 from __future__ import annotations

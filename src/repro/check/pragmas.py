@@ -1,8 +1,8 @@
-"""Shared suppression-pragma parser for simlint and simflow.
+"""Suppression pragmas of the source pass.
 
-Both AST layers — the Layer-2 lint (``SL2xx``) and the Layer-3 flow
-analyzer (``SF3xx``) — honor the same inline suppression grammar, so
-one pragma can silence rules from either family on the same line::
+The Layer-2 lint (``SL2xx``) and the Layer-3 flow analyzer (``SF3xx``)
+run as one source pass, and one inline grammar suppresses findings of
+either family::
 
     t0 = time.time()  # simlint: ignore[SL202]
     req = res.request()  # simlint: ignore[SL203, SF303]  -- teardown path
@@ -10,9 +10,7 @@ one pragma can silence rules from either family on the same line::
     env.timeout(jitter)
 
 A bare ``# simlint: ignore`` suppresses every rule on that line, and
-``# simlint: skip-file`` anywhere exempts the whole file.  The
-``simflow`` tag is accepted as a synonym of ``simlint`` everywhere, so
-``# simflow: ignore[SF304]`` reads naturally in flow-heavy code.
+``# simlint: skip-file`` anywhere exempts the whole file.
 
 The repository convention (enforced by the strict CI gate's review
 rules, not by this parser) is that every pragma carries a short
@@ -28,15 +26,14 @@ from repro.check.diagnostics import Diagnostic
 __all__ = [
     "Pragmas",
     "collect_pragmas",
-    "is_suppressed",
     "filter_suppressed",
 ]
 
 _PRAGMA_RE = re.compile(
-    r"#\s*(?:simlint|simflow):\s*ignore"
+    r"#\s*simlint:\s*ignore"
     r"(?:\[(?P<rules>[A-Z0-9,\s]+)\])?"
 )
-_SKIP_FILE_RE = re.compile(r"#\s*(?:simlint|simflow):\s*skip-file")
+_SKIP_FILE_RE = re.compile(r"#\s*simlint:\s*skip-file")
 
 
 class Pragmas:
@@ -45,7 +42,7 @@ class Pragmas:
     Attributes
     ----------
     skip_file:
-        ``True`` when the file opts out of both AST layers entirely.
+        ``True`` when the file opts out of the source pass entirely.
     by_line:
         Line number → set of suppressed rule ids (``None`` = every
         rule, from a bare ``ignore``).
@@ -83,7 +80,7 @@ def collect_pragmas(source: str) -> Pragmas:
     by_line: dict[int, set[str] | None] = {}
     skip_file = False
     for lineno, line in enumerate(source.splitlines(), start=1):
-        if "simlint" not in line and "simflow" not in line:
+        if "simlint" not in line:
             continue
         if _SKIP_FILE_RE.search(line):
             skip_file = True
@@ -101,15 +98,9 @@ def collect_pragmas(source: str) -> Pragmas:
     return Pragmas(skip_file, by_line)
 
 
-def is_suppressed(diag: Diagnostic, pragmas: Pragmas) -> bool:
-    """True when ``diag`` is silenced by ``pragmas``."""
-    return pragmas.suppresses(diag.rule, diag.line)
-
-
 def filter_suppressed(
     diagnostics: list[Diagnostic], pragmas: Pragmas
 ) -> list[Diagnostic]:
     """Drop every pragma-suppressed finding."""
-    if pragmas.skip_file:
-        return []
-    return [d for d in diagnostics if not is_suppressed(d, pragmas)]
+    return [d for d in diagnostics
+            if not pragmas.suppresses(d.rule, d.line)]

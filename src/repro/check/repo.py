@@ -1,35 +1,45 @@
-"""Repository-level static analysis: one call checks everything.
+"""The entry points of ``repro check``.
 
 :func:`check_repository` is what ``repro check`` and CI run: the
 Layer-1 model verifier over every model the repository ships (the
 experiment registry's ``scenario=`` hooks plus the built-in catalog
-below), the Layer-2 simulation lint, and the Layer-3 flow analyzer
-(:mod:`repro.check.simflow`), both over ``src/``, ``benchmarks/``,
-and ``examples/``.  The two AST passes share one parse of each file
-(:func:`repro.check.parse.parse_paths`).
+below) and the source pass over ``src/``, ``benchmarks/`` and
+``examples/``.  :func:`check_source` runs the source pass over one
+in-memory file.
+
+The source pass parses each file once
+(:func:`repro.check.parse.parse_paths`), runs every Layer-2
+(:mod:`repro.check.simlint`) and Layer-3 (:mod:`repro.check.simflow`)
+rule over the parsed trees, reports ``SL200`` for a file that does
+not parse, and applies each file's ``# simlint:`` pragmas
+(:mod:`repro.check.pragmas`) once.
 """
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 from typing import Iterable
 
-from repro.check.diagnostics import Diagnostic
+from repro.check.diagnostics import Diagnostic, make_diagnostic
 from repro.check.model import verify_model
-from repro.check.parse import parse_paths
-from repro.check.simflow import _analyze_parsed
-from repro.check.simlint import _lint_parsed
+from repro.check.parse import ParsedFile, parse_paths, parse_source
+from repro.check.pragmas import Pragmas, collect_pragmas, \
+    filter_suppressed
+from repro.check.simflow import analyze_trees
+from repro.check.simlint import lint_tree
 
 __all__ = [
     "repository_root",
     "default_lint_paths",
     "builtin_model_checks",
     "check_models",
+    "check_source",
     "check_repository",
 ]
 
-#: Directories (relative to the repository root) the lint and flow
-#: passes cover.
+#: Directories (relative to the repository root) the source pass
+#: covers.
 LINT_DIRS = ("src", "benchmarks", "examples")
 
 
@@ -40,7 +50,7 @@ def repository_root() -> Path:
 
 
 def default_lint_paths(root: Path | None = None) -> list[Path]:
-    """The source trees ``repro check --lint`` covers by default."""
+    """The source trees ``repro check`` covers by default."""
     root = repository_root() if root is None else Path(root)
     return [root / d for d in LINT_DIRS if (root / d).is_dir()]
 
@@ -98,55 +108,78 @@ def builtin_model_checks() -> list[tuple[str, object]]:
     return checks
 
 
-def check_models(
-    include_experiments: bool = True,
-) -> list[Diagnostic]:
+def check_models() -> list[Diagnostic]:
     """Run the Layer-1 verifier over every registered model."""
+    from repro import experiments
+
     diagnostics: list[Diagnostic] = []
     for name, model in builtin_model_checks():
         for diag in verify_model(model):
             diag.subject = f"{name}/{diag.subject}"
             diagnostics.append(diag)
-    if include_experiments:
-        from repro import experiments
-
-        for exp_id in experiments.ids():
-            diagnostics.extend(experiments.preflight(exp_id))
+    for exp_id in experiments.ids():
+        diagnostics.extend(experiments.preflight(exp_id))
     return diagnostics
+
+
+def _check_parsed(
+    files: list[tuple[str, ParsedFile]],
+) -> list[Diagnostic]:
+    """The source pass over ``files``: every SL and SF rule, then one
+    pragma filter per file."""
+    diagnostics: list[Diagnostic] = []
+    pragmas: dict[str, Pragmas] = {}
+    findings: dict[str, list[Diagnostic]] = {}
+    trees: list[tuple[str, ast.Module]] = []
+    for label, parsed in files:
+        file_pragmas = collect_pragmas(parsed.source)
+        if file_pragmas.skip_file:
+            continue
+        if parsed.tree is None:
+            diagnostics.append(make_diagnostic(
+                "SL200", f"file does not parse: {parsed.error.msg}",
+                label, line=parsed.error.lineno))
+            continue
+        pragmas[label] = file_pragmas
+        findings[label] = lint_tree(parsed.tree, label)
+        trees.append((label, parsed.tree))
+    for diag in analyze_trees(trees):
+        findings[diag.subject].append(diag)
+    for label, file_pragmas in pragmas.items():
+        diagnostics.extend(filter_suppressed(findings[label],
+                                             file_pragmas))
+    return diagnostics
+
+
+def check_source(
+    source: str, path: str = "<string>"
+) -> list[Diagnostic]:
+    """Run the source pass over in-memory ``source``; ``path`` labels
+    the diagnostics."""
+    return _check_parsed([(path, parse_source(source, path))])
 
 
 def check_repository(
     root: Path | str | None = None,
     models: bool = True,
-    lint: bool = True,
-    flow: bool = True,
-    lint_targets: Iterable[str | Path] | None = None,
+    paths: Iterable[str | Path] | None = None,
 ) -> list[Diagnostic]:
-    """Run the requested layers and return every finding.
+    """Run the model verifier and the source pass; return every
+    finding.
 
     Parameters
     ----------
     root:
         Repository root; defaults to the tree this package lives in.
-    models, lint, flow:
-        Which layers to run (Layer-1 verifier, Layer-2 lint, Layer-3
-        flow analysis).
-    lint_targets:
-        Explicit files/directories for the lint and flow passes
-        (defaults to :data:`LINT_DIRS` under ``root``).
+        Diagnostic subjects are relative to it.
+    models:
+        Whether to run the Layer-1 model verifier.
+    paths:
+        Files/directories for the source pass (defaults to
+        :data:`LINT_DIRS` under ``root``; an empty list skips it).
     """
     root = repository_root() if root is None else Path(root)
-    diagnostics: list[Diagnostic] = []
-    if models:
-        diagnostics.extend(check_models())
-    if not (lint or flow):
-        return diagnostics
-    targets = (list(lint_targets) if lint_targets is not None
-               else default_lint_paths(root))
-    parsed = parse_paths(targets, root)
-    if lint:
-        for label, parsed_file in parsed:
-            diagnostics.extend(_lint_parsed(parsed_file, label))
-    if flow:
-        diagnostics.extend(_analyze_parsed(parsed))
+    diagnostics = check_models() if models else []
+    targets = default_lint_paths(root) if paths is None else paths
+    diagnostics.extend(_check_parsed(parse_paths(targets, root)))
     return diagnostics

@@ -21,8 +21,6 @@ Rules (catalog in :mod:`repro.check.diagnostics`):
 * ``SF304`` — process functions acquire two resources in conflicting
   orders (a cycle in the project-wide acquisition-order graph):
   potential deadlock.
-* ``SF305`` — an event scheduled with a negative (past) delay; the
-  kernel raises at run time.
 * ``SF306`` — an infinite loop in a process function with no ``yield``
   in its body: the process spins without ever returning control to
   the scheduler, starving the simulation.
@@ -30,17 +28,20 @@ Rules (catalog in :mod:`repro.check.diagnostics`):
   derived from wall clock / unseeded RNG / ``id()`` / ``hash()`` /
   set iteration order reaches a timeout, schedule, or seed argument.
 
-Findings are suppressed with the shared pragma grammar
-(:mod:`repro.check.pragmas`): ``# simlint: ignore[SF303]`` (the
-``simflow:`` tag is an accepted synonym), with the repository
-convention of a justification after the pragma.
+``SF305`` (an event scheduled with a literal negative delay) is
+retired: ``Environment.schedule`` and ``Timeout`` already raise
+``ValueError`` before the event queue is touched.
+
+:func:`analyze_trees` reports every finding; the source pass in
+:mod:`repro.check.repo` runs it together with the Layer-2 lint and
+applies the ``# simlint: ignore[SF303]`` pragmas
+(:mod:`repro.check.pragmas`).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.check.cfg import (
@@ -54,39 +55,16 @@ from repro.check.cfg import (
     is_generator,
 )
 from repro.check.diagnostics import Diagnostic, make_diagnostic
-from repro.check.parse import ParsedFile, parse_paths, parse_source
-from repro.check.pragmas import collect_pragmas, filter_suppressed
+from repro.check.simlint import _event_method
 from repro.check.taint import TaintAnalysis
 
-__all__ = ["analyze_source", "analyze_paths"]
-
-#: Methods that create kernel events (the SL203 family), with the
-#: argument-count gates that keep dict.get()/list-like APIs out.
-_EVENT_METHODS = {"timeout", "event", "request", "get", "put",
-                  "any_of", "all_of", "hold", "wait"}
+__all__ = ["analyze_trees"]
 
 #: Method names that consume/settle an event held in a variable.
 _EVENT_CONSUMERS = {"succeed", "fail", "trigger"}
 
 #: Method names that release an acquired request.
 _RELEASERS = {"cancel", "release"}
-
-
-def _event_method(call: ast.Call) -> str | None:
-    """Name of the kernel-event factory ``call`` invokes, or None."""
-    func = call.func
-    if not isinstance(func, ast.Attribute) \
-            or func.attr not in _EVENT_METHODS:
-        return None
-    attr = func.attr
-    n_args = len(call.args) + len(call.keywords)
-    if attr == "get" and n_args != 0:
-        return None  # dict.get(key) and friends
-    if attr == "put" and n_args != 1:
-        return None
-    if attr == "request" and n_args > 1:
-        return None
-    return attr
 
 
 def _is_process_function(
@@ -151,19 +129,6 @@ def _parent_map(func: ast.AST) -> dict[ast.AST, ast.AST]:
         for child in ast.iter_child_nodes(node):
             parents[child] = node
     return parents
-
-
-def _negative_constant(expr: ast.expr) -> bool:
-    if isinstance(expr, ast.UnaryOp) \
-            and isinstance(expr.op, ast.USub) \
-            and isinstance(expr.operand, ast.Constant) \
-            and isinstance(expr.operand.value, (int, float)) \
-            and expr.operand.value > 0:
-        return True
-    return (isinstance(expr, ast.Constant)
-            and isinstance(expr.value, (int, float))
-            and not isinstance(expr.value, bool)
-            and expr.value < 0)
 
 
 def _releases_var(stmts: list[ast.stmt], var: str) -> bool:
@@ -560,7 +525,7 @@ class _FunctionFlow:
 
 
 # ----------------------------------------------------------------------
-# Syntactic per-function rules: SF302, SF305, SF306
+# Syntactic per-function rules: SF302, SF306
 # ----------------------------------------------------------------------
 def _check_yields(path: str, func, emit) -> None:
     if not (_yields_events(func) or _uses_kernel_events(func)):
@@ -569,11 +534,12 @@ def _check_yields(path: str, func, emit) -> None:
         if not isinstance(node, ast.Yield):
             continue
         value = node.value
-        # A yield of nothing or of a literal constant can never be a
-        # kernel event.
+        # A yield of nothing or of a literal constant (``-1``
+        # included) can never be a kernel event.
         bare = (value is None
                 or isinstance(value, ast.Constant)
-                or _negative_constant(value))
+                or (isinstance(value, ast.UnaryOp)
+                    and isinstance(value.operand, ast.Constant)))
         if bare:
             shown = ("nothing" if value is None
                      else repr(getattr(value, "value", "...")))
@@ -581,30 +547,6 @@ def _check_yields(path: str, func, emit) -> None:
                  f"process yields {shown}, which is not a kernel "
                  f"event — the kernel raises TypeError at run time; "
                  f"yield env.timeout(delay) to advance time",
-                 node.lineno)
-
-
-def _check_negative_delays(tree: ast.AST, emit) -> None:
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) \
-                or not isinstance(node.func, ast.Attribute):
-            continue
-        attr = node.func.attr
-        delay: ast.expr | None = None
-        if attr == "timeout" and node.args:
-            delay = node.args[0]
-        elif attr == "schedule":
-            if len(node.args) > 1:
-                delay = node.args[1]
-        if delay is None and attr in {"timeout", "schedule"}:
-            for keyword in node.keywords:
-                if keyword.arg == "delay":
-                    delay = keyword.value
-        if delay is not None and _negative_constant(delay):
-            emit("SF305",
-                 f".{attr}(...) schedules "
-                 f"{ast.unparse(delay)} time units in the past — "
-                 f"the kernel raises ValueError at run time",
                  node.lineno)
 
 
@@ -644,28 +586,25 @@ def _check_starvation(path: str, func, emit) -> None:
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
-def _analyze_parsed(
-    files: list[tuple[str, ParsedFile]],
+def analyze_trees(
+    files: list[tuple[str, ast.Module]],
 ) -> list[Diagnostic]:
+    """Every Layer-3 finding in ``files``, before pragma filtering.
+
+    All files are analyzed as one project: the call graph and the
+    lock-order graph span every file, which is what makes SF304 and
+    SF307 interprocedural.
+    """
     diagnostics: list[Diagnostic] = []
-    pragma_by_path: dict[str, object] = {}
     lock_edges: list[_LockEdge] = []
-    taint_files: list[tuple[str, ast.Module]] = []
 
-    for label, parsed in files:
-        pragmas = collect_pragmas(parsed.source)
-        pragma_by_path[label] = pragmas
-        if pragmas.skip_file or parsed.tree is None:
-            continue  # SL200 (simlint) owns the syntax-error report
-        taint_files.append((label, parsed.tree))
-
+    for label, tree in files:
         def emit(rule: str, message: str, line: int,
                  label: str = label) -> None:
             diagnostics.append(
                 make_diagnostic(rule, message, label, line=line))
 
-        _check_negative_delays(parsed.tree, emit)
-        for qualname, func in function_defs(parsed.tree):
+        for qualname, func in function_defs(tree):
             if not _is_process_function(func):
                 continue
             _check_yields(label, func, emit)
@@ -690,38 +629,8 @@ def _analyze_parsed(
                 edge.path, line=edge.line))
 
     # SF307: project-wide determinism taint.
-    for finding in TaintAnalysis(taint_files).findings():
+    for finding in TaintAnalysis(files).findings():
         diagnostics.append(make_diagnostic(
             "SF307", finding.message, finding.path,
             line=finding.line))
-
-    # Apply per-file pragmas.
-    kept: list[Diagnostic] = []
-    for diag in diagnostics:
-        pragmas = pragma_by_path.get(diag.subject)
-        if pragmas is not None:
-            remaining = filter_suppressed([diag], pragmas)
-            if not remaining:
-                continue
-        kept.append(diag)
-    return kept
-
-
-def analyze_source(
-    source: str, path: str = "<string>"
-) -> list[Diagnostic]:
-    """Run the flow analyzer over in-memory ``source``."""
-    return _analyze_parsed([(path, parse_source(source, path))])
-
-
-def analyze_paths(
-    paths: Iterable[str | Path], root: str | Path | None = None
-) -> list[Diagnostic]:
-    """Analyze files and directories (recursing into ``*.py``).
-
-    All files are analyzed as one project: the call graph and the
-    lock-order graph span every file, which is what makes SF304 and
-    SF307 interprocedural.  ``root`` relativizes subjects, matching
-    :func:`repro.check.simlint.lint_paths`.
-    """
-    return _analyze_parsed(parse_paths(paths, root))
+    return diagnostics

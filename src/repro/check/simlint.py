@@ -14,9 +14,9 @@ Rules (catalog in :mod:`repro.check.diagnostics`):
 * ``SL202`` — wall-clock calls (``time.time``, ``datetime.now``,
   ``time.sleep``, ...); ``time.perf_counter`` stays allowed for
   measuring the cost of a run.
-* ``SL203`` — a kernel event (``env.timeout(...)``, ``queue.get()``,
-  ...) created as a bare statement inside a generator process instead
-  of being yielded.
+* ``SL203`` — a kernel event (``env.timeout(...)``, ``env.event()``,
+  ``queue.get()``, ...) created as a bare statement inside a generator
+  process instead of being yielded.
 * ``SL204`` — mutable default arguments.
 * ``SL205`` — ``==``/``!=`` against simulated time (``env.now``).
 * ``SL206`` — ``multiprocessing`` / ``concurrent.futures`` imported
@@ -29,30 +29,20 @@ Rules (catalog in :mod:`repro.check.diagnostics`):
   resilience layer — injected chaos faults and real policy failures
   alike disappear without a trace.
 
-Intentional violations are whitelisted inline with the shared pragma
-grammar of :mod:`repro.check.pragmas` (one parser serves simlint and
-simflow, so a single pragma can silence rules from both families)::
-
-    t0 = time.time()  # simlint: ignore[SL202]
-    req = res.request()  # simlint: ignore[SL203, SF303]
-
-A bare ``# simlint: ignore`` suppresses every rule on that line; the
-pragma is also honored on the line directly above the finding, and
-``# simlint: skip-file`` anywhere in a file skips it entirely.
+The layer has no driver of its own: :func:`repro.check.check_source`
+and :func:`repro.check.check_repository` run :func:`lint_tree` and the
+Layer-3 rules (:mod:`repro.check.simflow`) in one source pass and
+apply the ``# simlint:`` pragmas (:mod:`repro.check.pragmas`) once.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Iterable
 
 from repro.check.cfg import is_generator as _cfg_is_generator
 from repro.check.diagnostics import Diagnostic, make_diagnostic
-from repro.check.parse import ParsedFile, parse_paths, parse_source
-from repro.check.pragmas import collect_pragmas, filter_suppressed
 
-__all__ = ["lint_source", "lint_paths", "ImportTable"]
+__all__ = ["lint_tree", "ImportTable"]
 
 #: random.* members that are constructors/introspection, not draws
 #: from the hidden global generator.
@@ -80,9 +70,11 @@ _WALL_CLOCK = {
     "datetime.date.today",
 }
 
-#: Method names that create kernel events which must be yielded when
-#: called inside a generator process (SL203).
-_EVENT_METHODS = {"timeout", "request", "get", "put", "hold", "wait"}
+#: Methods that create kernel events (SL203, and the Layer-3 event
+#: and resource rules), with the argument-count gates in
+#: :func:`_event_method` that keep dict.get()/list-like APIs out.
+_EVENT_METHODS = {"timeout", "event", "request", "get", "put",
+                  "any_of", "all_of", "hold", "wait"}
 
 #: Names that denote the simulated clock in SL205 comparisons.
 _TIME_NAMES = {"now"}
@@ -103,6 +95,23 @@ _POLICY_ERRORS = {
     "PolicyError", "DeadlineExceeded", "RetryBudgetExceeded",
     "CircuitOpen",
 }
+
+
+def _event_method(call: ast.Call) -> str | None:
+    """Name of the kernel-event factory ``call`` invokes, or None."""
+    func = call.func
+    if not isinstance(func, ast.Attribute) \
+            or func.attr not in _EVENT_METHODS:
+        return None
+    attr = func.attr
+    n_args = len(call.args) + len(call.keywords)
+    if attr == "get" and n_args != 0:
+        return None  # dict.get(key) and friends
+    if attr == "put" and n_args != 1:
+        return None
+    if attr == "request" and n_args > 1:
+        return None
+    return attr
 
 
 class ImportTable:
@@ -271,14 +280,13 @@ class _Linter(ast.NodeVisitor):
     # -- SL203: bare kernel events in generator processes -------------
     def visit_Expr(self, node: ast.Expr) -> None:
         call = node.value
-        if (self._generator_depth > 0
-                and isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Attribute)
-                and call.func.attr in _EVENT_METHODS):
+        method = (_event_method(call) if self._generator_depth > 0
+                  and isinstance(call, ast.Call) else None)
+        if method is not None:
             self._emit(
                 "SL203",
-                f".{call.func.attr}(...) creates a kernel event that "
-                f"is never yielded",
+                f".{method}(...) creates a kernel event that is never "
+                f"yielded",
                 node,
             )
         self.generic_visit(node)
@@ -370,37 +378,8 @@ class _Linter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _lint_parsed(parsed: ParsedFile, path: str) -> list[Diagnostic]:
-    pragmas = collect_pragmas(parsed.source)
-    if pragmas.skip_file:
-        return []
-    if parsed.tree is None:
-        return [make_diagnostic(
-            "SL200", f"file does not parse: {parsed.error.msg}", path,
-            line=parsed.error.lineno,
-        )]
+def lint_tree(tree: ast.Module, path: str) -> list[Diagnostic]:
+    """Every Layer-2 finding in ``tree``, before pragma filtering."""
     linter = _Linter(path)
-    linter.visit(parsed.tree)
-    return filter_suppressed(linter.diagnostics, pragmas)
-
-
-def lint_source(
-    source: str, path: str = "<string>"
-) -> list[Diagnostic]:
-    """Lint Python ``source``; ``path`` labels the diagnostics."""
-    return _lint_parsed(parse_source(source, path), path)
-
-
-def lint_paths(
-    paths: Iterable[str | Path], root: str | Path | None = None
-) -> list[Diagnostic]:
-    """Lint files and directories (recursing into ``*.py``).
-
-    ``root``, when given, relativizes diagnostic subjects so output is
-    stable across machines.  :func:`repro.check.check_repository`
-    runs this pass and the flow pass over one shared parse.
-    """
-    diagnostics: list[Diagnostic] = []
-    for label, parsed in parse_paths(paths, root):
-        diagnostics.extend(_lint_parsed(parsed, label))
-    return diagnostics
+    linter.visit(tree)
+    return linter.diagnostics

@@ -28,20 +28,21 @@ from typing import Callable, Iterable
 
 from repro.check.cfg import CFG, ForIter, WithEnter, WithExit, \
     build_cfg, dataflow, function_defs
-from repro.check.simlint import ImportTable
+from repro.check.simlint import (
+    _NUMPY_RANDOM_ALLOWED,
+    _RANDOM_ALLOWED,
+    _WALL_CLOCK as _SL202_WALL_CLOCK,
+    ImportTable,
+)
 
 __all__ = ["TaintAnalysis", "TaintFinding", "SOURCE_KINDS"]
 
-#: Dotted call targets that read the host wall clock.  Unlike SL202,
-#: the *allowed* perf counters are included: calling them is fine,
+#: Dotted call targets that read the host wall clock: SL202's set
+#: plus the perf counters it allows.  Calling a perf counter is fine,
 #: letting the value steer the simulation is not.
-_WALL_CLOCK = {
-    "time.time", "time.time_ns", "time.monotonic",
-    "time.monotonic_ns", "time.perf_counter",
-    "time.perf_counter_ns", "time.process_time",
-    "time.process_time_ns",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
+_WALL_CLOCK = _SL202_WALL_CLOCK | {
+    "time.perf_counter", "time.perf_counter_ns",
+    "time.process_time", "time.process_time_ns",
 }
 
 #: Dotted call targets drawing OS entropy.
@@ -50,16 +51,6 @@ _ENTROPY = {
     "secrets.token_bytes", "secrets.token_hex", "secrets.randbits",
     "secrets.choice",
 }
-
-#: numpy.random members of the modern, explicitly-seeded API (same
-#: whitelist as SL201).
-_NUMPY_RANDOM_ALLOWED = {
-    "default_rng", "Generator", "SeedSequence", "BitGenerator",
-    "PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64",
-}
-
-#: random.* members that are constructors, not global-state draws.
-_RANDOM_ALLOWED = {"Random", "SystemRandom"}
 
 #: Human labels of the taint kinds SF307 reports.
 SOURCE_KINDS = {

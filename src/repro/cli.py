@@ -416,11 +416,6 @@ def _cmd_check(args) -> int:
 
     import repro.scenario as scn
 
-    # No layer selected explicitly means all of them.
-    any_layer = args.models or args.lint or args.flow
-    do_models = args.models or not any_layer
-    do_lint = args.lint or not any_layer
-    do_flow = args.flow or not any_layer
     paths = [Path(p) for p in args.paths] if args.paths else []
     missing = [p for p in paths if not p.exists()]
     if missing:
@@ -429,7 +424,7 @@ def _cmd_check(args) -> int:
               file=sys.stderr)
         return 2
     scenario_paths = [p for p in paths if scn.is_scenario_file(p)]
-    lint_targets = [p for p in paths if not scn.is_scenario_file(p)]
+    source_paths = [p for p in paths if not scn.is_scenario_file(p)]
     diagnostics = []
     for path in scenario_paths:
         try:
@@ -443,12 +438,15 @@ def _cmd_check(args) -> int:
                 f"{path}#$"))
         else:
             diagnostics.extend(scn.verify(scenario, label=str(path)))
-    # Scenario files replace the repository pass unless other lint
-    # targets (or an explicit layer flag) ask for it too.
-    if not scenario_paths or lint_targets or any_layer:
+    # Without paths the whole repository is checked (or only its
+    # models, under --models); paths narrow the source pass to those
+    # files and run the model verifier only under --models.
+    if not paths:
         diagnostics.extend(repro_check.check_repository(
-            models=do_models, lint=do_lint, flow=do_flow,
-            lint_targets=lint_targets or None))
+            paths=[] if args.models else None))
+    elif args.models or source_paths:
+        diagnostics.extend(repro_check.check_repository(
+            models=args.models, paths=source_paths))
 
     threshold = Severity.WARNING if args.strict else Severity.ERROR
     failing = [d for d in diagnostics if d.severity >= threshold]
@@ -457,12 +455,6 @@ def _cmd_check(args) -> int:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(diagnostics_to_json(diagnostics) + "\n",
                             encoding="utf-8")
-    if args.sarif:
-        sarif_path = Path(args.sarif)
-        sarif_path.parent.mkdir(parents=True, exist_ok=True)
-        sarif_path.write_text(
-            repro_check.to_sarif_json(diagnostics) + "\n",
-            encoding="utf-8")
     if args.json:
         print(diagnostics_to_json(diagnostics))
     else:
@@ -691,25 +683,19 @@ def main(argv: list[str] | None = None) -> int:
 
     check_parser = subparsers.add_parser(
         "check",
-        help="static model verification + simulation lint")
+        help="static model verification + source lint/flow analysis")
     check_parser.add_argument(
         "paths", nargs="*",
-        help="files/directories to lint (default: src/ benchmarks/)")
+        help="source files/directories or scenario files to check "
+             "(default: the model verifier plus src/ benchmarks/ "
+             "examples/)")
     check_parser.add_argument(
         "--models", action="store_true",
-        help="run only the Layer-1 model verifier")
-    check_parser.add_argument(
-        "--lint", action="store_true",
-        help="run only the Layer-2 simulation lint")
-    check_parser.add_argument(
-        "--flow", action="store_true",
-        help="run only the Layer-3 flow analyzer (simflow)")
+        help="run the Layer-1 model verifier (alone, unless paths "
+             "are given too)")
     check_parser.add_argument(
         "--json", action="store_true",
         help="print diagnostics as a stable JSON document")
-    check_parser.add_argument(
-        "--sarif", default=None, metavar="FILE",
-        help="also write findings as a SARIF 2.1.0 document")
     check_parser.add_argument(
         "--strict", action="store_true",
         help="fail (exit 1) on warnings too, not just errors")

@@ -90,7 +90,7 @@ class TelemetrySampler(threading.Thread):
         last = (kernel_counters().events_executed, 0.0)
         # Event.wait is the pacing clock of an *observer* thread; it
         # never influences simulated time.
-        while not self._halt.wait(self.interval):  # simlint: ignore[SL202]
+        while not self._halt.wait(self.interval):
             frame, last = self.frame(
                 wall=time.perf_counter() - start, last=last)
             try:

@@ -716,7 +716,7 @@ def supervise(
                 # replica is retried; the retry reuses the replica's
                 # original derived seed, so results stay a pure
                 # function of the master seed.
-                # simflow: ignore[SF307]
+                # simlint: ignore[SF307]
                 handle_failure(
                     record.task,
                     f"replica hung: no result within "

@@ -74,10 +74,12 @@ class TestCatalog:
         for module in ("repro.check.model", "repro.check.simlint",
                        "repro.check.simflow", "repro.check.cfg",
                        "repro.check.taint", "repro.check.pragmas",
-                       "repro.check.parse"):
+                       "repro.check.parse", "repro.check.repo"):
             assert module in analysis, module
-        # The engine features are documented where they surface.
-        for feature in ("--sarif", "fingerprint"):
+        # The source pass and its one pragma tag are documented, and
+        # the retired rule keeps its row.
+        for feature in ("check_source", "check_repository",
+                        "# simlint: ignore", "SF305"):
             assert feature in analysis, feature
         # README and the modeling guide point at the catalog and
         # mention the flow layer.
@@ -86,8 +88,7 @@ class TestCatalog:
             encoding="utf-8")
         for doc_text in (readme, guide):
             assert "static_analysis.md" in doc_text
-        assert "SARIF" in readme
-        assert "flow" in guide
+            assert "flow" in doc_text
 
     def test_lookup_unknown_rule(self):
         with pytest.raises(KeyError):
@@ -137,7 +138,6 @@ class TestGoldenJson:
             "counts": {"error": 1, "info": 0, "warning": 1},
             "diagnostics": [
                 {
-                    "fingerprint": "1cdf7360b717fab7",
                     "fix_hint": (
                         "Use env.now for simulated time and "
                         "env.timeout for delays; use "
@@ -150,7 +150,6 @@ class TestGoldenJson:
                     "subject": "src/repro/des/environment.py",
                 },
                 {
-                    "fingerprint": "35d736c86d211750",
                     "fix_hint": (
                         "Give the edge its real control-message "
                         "volume, or delete it if no ordering is "
@@ -203,26 +202,3 @@ class TestDiagnosticLocation:
         diag = Diagnostic("SL201", Severity.ERROR, "m", "a.py",
                           line=3)
         assert diag.location == "a.py:3"
-
-
-def finding(rule="SF303", msg="leak of 'req' (line 10)",
-            path="src/a.py", line=10):
-    return make_diagnostic(rule, msg, path, line=line)
-
-
-class TestFingerprint:
-    def test_stable_across_line_shifts(self):
-        # Same defect, code moved 30 lines down (message and line
-        # both renumber): identical fingerprint.
-        a = finding(msg="leak of 'req' (line 10)", line=10)
-        b = finding(msg="leak of 'req' (line 40)", line=40)
-        assert a.fingerprint == b.fingerprint
-
-    def test_sensitive_to_rule_subject_and_text(self):
-        base = finding()
-        assert (finding(rule="SF301").fingerprint
-                != base.fingerprint)
-        assert (finding(path="src/b.py").fingerprint
-                != base.fingerprint)
-        assert (finding(msg="leak of 'other'").fingerprint
-                != base.fingerprint)

@@ -1,11 +1,10 @@
-"""The shared suppression-pragma grammar (simlint + simflow)."""
+"""The suppression-pragma grammar of the source pass (SL and SF
+rules)."""
 
 import textwrap
 
-from repro.check.pragmas import collect_pragmas, is_suppressed
-from repro.check.diagnostics import make_diagnostic
-from repro.check.simlint import lint_source
-from repro.check.simflow import analyze_source
+from repro.check import check_source, make_diagnostic
+from repro.check.pragmas import collect_pragmas, filter_suppressed
 
 
 def pragmas_of(code):
@@ -44,10 +43,6 @@ class TestGrammar:
         """)
         assert not p.suppresses("SL202", 4)
 
-    def test_simflow_tag_is_a_synonym(self):
-        p = pragmas_of("x = 1  # simflow: ignore[SF303]\n")
-        assert p.suppresses("SF303", 1)
-
     def test_skip_file(self):
         p = pragmas_of("""
             # simlint: skip-file
@@ -59,12 +54,11 @@ class TestGrammar:
         p = pragmas_of("x = 1  # simlint: ignore[SL204]\n")
         hit = make_diagnostic("SL204", "m", "a.py", line=1)
         miss = make_diagnostic("SL204", "m", "a.py", line=9)
-        assert is_suppressed(hit, p)
-        assert not is_suppressed(miss, p)
+        assert filter_suppressed([hit, miss], p) == [miss]
 
 
 class TestSharedAcrossLayers:
-    """One grammar, both analyzers."""
+    """One grammar for the Layer-2 and Layer-3 rules."""
 
     def test_simlint_honors_multi_rule_pragma(self):
         code = textwrap.dedent("""
@@ -74,21 +68,15 @@ class TestSharedAcrossLayers:
                 t = time.time()  # simlint: ignore[SL202, SL205]
                 return t
         """)
-        assert lint_source(code, "a.py") == []
+        assert check_source(code, "a.py") == []
 
     def test_simflow_honors_simlint_tag(self):
         code = textwrap.dedent("""
             def proc(env):
-                yield env.timeout(-1)  # simlint: ignore[SF305]
+                yield 0  # simlint: ignore[SF302]
+                yield env.timeout(1)
         """)
-        assert analyze_source(code, "a.py") == []
-
-    def test_simflow_honors_simflow_tag(self):
-        code = textwrap.dedent("""
-            def proc(env):
-                yield env.timeout(-1)  # simflow: ignore[SF305]
-        """)
-        assert analyze_source(code, "a.py") == []
+        assert check_source(code, "a.py") == []
 
     def test_skip_file_silences_both_layers(self):
         code = textwrap.dedent("""
@@ -97,15 +85,16 @@ class TestSharedAcrossLayers:
 
             def proc(env):
                 t = time.time()
-                yield env.timeout(-1)
+                yield 0
+                yield env.timeout(t)
         """)
-        assert lint_source(code, "a.py") == []
-        assert analyze_source(code, "a.py") == []
+        assert check_source(code, "a.py") == []
 
     def test_unrelated_rule_still_fires(self):
         code = textwrap.dedent("""
             def proc(env):
-                yield env.timeout(-1)  # simflow: ignore[SF301]
+                yield 0  # simlint: ignore[SF301]
+                yield env.timeout(1)
         """)
-        rules = [d.rule for d in analyze_source(code, "a.py")]
-        assert rules == ["SF305"]
+        rules = [d.rule for d in check_source(code, "a.py")]
+        assert rules == ["SF302"]

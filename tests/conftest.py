@@ -1,8 +1,9 @@
 """Session-wide fixtures.
 
-The full repository check (all three layers over ``src/``,
-``benchmarks/`` and ``examples/``) takes seconds, so the suite runs it
-once and every test that asserts on the whole tree shares the result.
+The full repository check (the model verifier plus the source pass
+over ``src/``, ``benchmarks/`` and ``examples/``) takes seconds, so
+the suite runs it once and every test that asserts on the whole tree
+shares the result.
 """
 
 import time
@@ -18,7 +19,7 @@ class RepositoryScan(NamedTuple):
 
 @pytest.fixture(scope="session")
 def repository_scan():
-    """One timed ``check_repository()`` run with all three layers."""
+    """One timed ``check_repository()`` run over the whole tree."""
     from repro.check import check_repository
 
     t0 = time.perf_counter()
@@ -30,21 +31,20 @@ def repository_scan():
 def shared_check_repository(monkeypatch, repository_scan):
     """Serve ``repro.check.check_repository`` from the session scan.
 
-    For CLI tests over the whole tree.  The stub returns the findings
-    of the requested layers; the returned list records the layer flags
-    of every call so the test can assert on them.
+    For CLI tests over the whole tree.  The stub serves calls that
+    run the source pass over the default paths, with or without the
+    model verifier; the returned list records the arguments of every
+    call so the test can assert on them.
     """
     import repro.check
 
     calls = []
 
-    def stub(root=None, models=True, lint=True, flow=True,
-             lint_targets=None):
-        assert root is None and lint_targets is None
-        calls.append({"models": models, "lint": lint, "flow": flow})
-        wanted = {"RC": models, "SL": lint, "SF": flow}
+    def stub(root=None, models=True, paths=None):
+        assert root is None and paths is None
+        calls.append({"models": models, "paths": paths})
         return [d for d in repository_scan.diagnostics
-                if wanted[d.rule[:2]]]
+                if models or not d.rule.startswith("RC")]
 
     monkeypatch.setattr(repro.check, "check_repository", stub)
     return calls

@@ -172,8 +172,9 @@ class TestReportRendering:
         assert "exactly one" in capsys.readouterr().err
 
 
-#: Layer flags of a ``repro check`` with no layer option.
-ALL_LAYERS = {"models": True, "lint": True, "flow": True}
+#: ``check_repository`` arguments of a ``repro check`` without
+#: options: the model verifier plus the source pass over the tree.
+ALL_LAYERS = {"models": True, "paths": None}
 
 
 class TestCheckCommand:
@@ -196,16 +197,15 @@ class TestCheckCommand:
     def test_check_lint_flags_violations(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import time\nt = time.time()\n")
-        assert main(["check", "--lint", str(bad)]) == 1
+        assert main(["check", str(bad)]) == 1
         out = capsys.readouterr().out
         assert "SL202" in out
 
     def test_check_strict_fails_on_warnings(self, tmp_path, capsys):
         warn_only = tmp_path / "warn.py"
         warn_only.write_text("def f(x=[]):\n    return x\n")
-        assert main(["check", "--lint", str(warn_only)]) == 0
-        assert main(["check", "--lint", "--strict",
-                     str(warn_only)]) == 1
+        assert main(["check", str(warn_only)]) == 0
+        assert main(["check", "--strict", str(warn_only)]) == 1
         capsys.readouterr()
 
     def test_check_out_writes_diagnostics_file(
@@ -217,8 +217,28 @@ class TestCheckCommand:
         assert document["version"] == 1
         assert shared_check_repository == [ALL_LAYERS]
 
+    def test_check_paths_and_models_select_the_passes(
+            self, tmp_path, monkeypatch, capsys):
+        import repro.check
+
+        calls = []
+        monkeypatch.setattr(
+            repro.check, "check_repository",
+            lambda **kwargs: calls.append(kwargs) or [])
+        source = tmp_path / "a.py"
+        source.write_text("x = 1\n")
+        assert main(["check", str(source)]) == 0
+        assert main(["check", "--models"]) == 0
+        assert main(["check", "--models", str(source)]) == 0
+        capsys.readouterr()
+        assert calls == [
+            {"models": False, "paths": [source]},
+            {"paths": []},
+            {"models": True, "paths": [source]},
+        ]
+
     def test_check_missing_path_is_usage_error(self, capsys):
-        assert main(["check", "--lint", "does/not/exist.py"]) == 2
+        assert main(["check", "does/not/exist.py"]) == 2
         assert "no such path" in capsys.readouterr().err
 
     def test_check_flow_flags_violations(self, tmp_path, capsys):
@@ -228,26 +248,8 @@ class TestCheckCommand:
             "    ev = env.timeout(1)\n"
             "    ev = env.timeout(2)\n"
             "    yield ev\n")
-        assert main(["check", "--flow", str(bad)]) == 1
+        assert main(["check", str(bad)]) == 1
         assert "SF301" in capsys.readouterr().out
-
-    def test_check_flow_only_skips_other_layers(self, tmp_path,
-                                                capsys):
-        # SL202 (a Layer-2 rule) must not fire under --flow alone.
-        clock = tmp_path / "clock.py"
-        clock.write_text("import time\nt = time.time()\n")
-        assert main(["check", "--flow", str(clock)]) == 0
-        capsys.readouterr()
-
-    def test_check_json_includes_fingerprints(self, tmp_path,
-                                              capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import time\nt = time.time()\n")
-        assert main(["check", "--lint", "--json", str(bad)]) == 1
-        document = json.loads(capsys.readouterr().out)
-        entry = document["diagnostics"][0]
-        assert entry["rule"] == "SL202"
-        assert len(entry["fingerprint"]) == 16
 
 
 class TestRunProfile:
