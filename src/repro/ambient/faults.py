@@ -83,39 +83,22 @@ class FaultProcess:
         return up
 
 
-def _binom_tail_exact(n: int, p: float, k_min: int) -> float:
-    """P[X >= k_min] for X ~ Binomial(n, p), by exact summation.
-
-    scipy-free fallback built on :func:`math.comb`; exact up to float
-    rounding for the small ``n`` ambient deployments use.
-    """
-    import math
-
-    if k_min <= 0:
-        return 1.0
-    total = 0.0
-    for i in range(k_min, n + 1):
-        total += math.comb(n, i) * p ** i * (1.0 - p) ** (n - i)
-    return min(total, 1.0)
-
-
 def availability_lower_bound(per_node: float, n_nodes: int,
                              k_required: int) -> float:
     """Probability at least ``k_required`` of ``n_nodes`` are up.
 
     Binomial availability of a k-out-of-n redundant ambient service
-    with independent node availability ``per_node``.  Uses scipy's
-    survival function when available and an exact ``math.comb``
-    summation otherwise, so ambient models stay runnable on minimal
-    installs.
+    with independent node availability ``per_node``.  The binomial
+    survival function is the regularized incomplete beta
+    ``I_p(k, n - k + 1)``, which is what scipy's ``binom.sf``
+    evaluates, so the two agree bit for bit.
     """
     if not 0.0 <= per_node <= 1.0:
         raise ValueError("per-node availability must lie in [0, 1]")
     if not 0 <= k_required <= n_nodes:
         raise ValueError("need 0 <= k_required <= n_nodes")
-    try:
-        from scipy.stats import binom
-    except ImportError:
-        return _binom_tail_exact(n_nodes, per_node, k_required)
+    if k_required == 0:
+        return 1.0
+    from scipy.special import betainc
 
-    return float(binom.sf(k_required - 1, n_nodes, per_node))
+    return float(betainc(k_required, n_nodes - k_required + 1, per_node))

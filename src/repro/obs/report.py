@@ -29,11 +29,10 @@ __all__ = ["RunReport", "sanitize_json"]
 _BATCH_THRESHOLD = 200
 
 
-def _histogram_ci(values: list[float],
-                  confidence: float = 0.95) -> tuple[float, float]:
+def _histogram_ci(values: list[float]) -> tuple[float, float]:
     if len(values) >= _BATCH_THRESHOLD:
         values = batch_means(values, n_batches=20)
-    return confidence_interval(values, confidence=confidence)
+    return confidence_interval(values)
 
 
 @dataclass

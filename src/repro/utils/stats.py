@@ -7,8 +7,12 @@ Two accumulator flavours are provided:
 * :class:`TimeWeightedStats` — piecewise-constant signals weighted by how
   long they hold each value, used for queue lengths and utilizations.
 
-Plus classical output-analysis helpers: normal-theory confidence intervals
-and the method of batch means for correlated simulation output.
+Plus classical output-analysis helpers: Student-t confidence intervals
+and the method of batch means for correlated simulation output.  The t
+quantile comes from :func:`scipy.special.stdtrit`, the function behind
+scipy's ``t.ppf``, bit for bit; it is imported inside
+:func:`confidence_interval`, so importing this module loads numpy but
+no part of scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "SummaryStats",
@@ -211,8 +214,13 @@ def confidence_interval(
     values:
         Independent (or batched) observations.
     confidence:
-        Two-sided coverage probability, e.g. ``0.95``.
+        Two-sided coverage probability, strictly between 0 and 1,
+        e.g. ``0.95``.
     """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(
+            f"confidence must lie strictly between 0 and 1, got {confidence}"
+        )
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return math.nan, math.nan
@@ -220,7 +228,9 @@ def confidence_interval(
     if arr.size < 2:
         return mean, math.inf
     sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
-    t = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1))
+    from scipy.special import stdtrit
+
+    t = float(stdtrit(arr.size - 1, 0.5 + confidence / 2.0))
     return mean, t * sem
 
 

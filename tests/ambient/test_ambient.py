@@ -1,12 +1,12 @@
 """Tests for the ambient-multimedia substrate (§5)."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from repro.ambient import (
     FaultProcess,
@@ -19,7 +19,15 @@ from repro.ambient import (
     redundancy_study,
     user_aware_energy_study,
 )
-from repro.ambient.faults import _binom_tail_exact
+
+
+def _binom_tail_exact(n: int, p: float, k_min: int) -> float:
+    """P[X >= k_min] for X ~ Binomial(n, p), summed with math.comb:
+    an oracle independent of scipy."""
+    if k_min <= 0:
+        return 1.0
+    return min(1.0, sum(math.comb(n, i) * p ** i * (1.0 - p) ** (n - i)
+                        for i in range(k_min, n + 1)))
 
 
 class TestUserActivity:
@@ -163,13 +171,14 @@ class TestAvailabilityBound:
                 availability_lower_bound(p, n, k), abs=1e-12
             )
 
-    def test_scipy_free_fallback(self, monkeypatch):
-        """With scipy unimportable, the exact summation takes over."""
-        monkeypatch.setitem(sys.modules, "scipy", None)
-        monkeypatch.setitem(sys.modules, "scipy.stats", None)
-        value = availability_lower_bound(0.9, 4, 2)
-        assert value == pytest.approx(_binom_tail_exact(4, 0.9, 2))
-        assert value == pytest.approx(0.9963, abs=1e-4)
+    def test_bit_identical_to_binom_sf(self):
+        """The incomplete-beta form reproduces scipy.stats.binom.sf
+        exactly, at the endpoints p = 0 and p = 1 too."""
+        for n in range(1, 31):
+            for p in (0.0, 0.05, 0.37, 0.5, 0.9, 0.99, 1.0):
+                for k in range(n + 1):
+                    assert availability_lower_bound(p, n, k) == float(
+                        stats.binom.sf(k - 1, n, p)), (n, k, p)
 
 
 class TestSmartSpace:

@@ -3,7 +3,11 @@ declared export resolves.  Guards against silently widening (or
 breaking) the surface that ``docs/`` and downstream code rely on."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,3 +56,28 @@ def test_subpackage_all_resolves(name):
             f"repro.{name}.__all__ lists {export!r} but it does not "
             f"resolve"
         )
+
+
+_STARTUP_PROBE = f"""
+import sys
+from repro import experiments
+experiments.ids()
+print("scipy" in sys.modules)
+for name in {SUBPACKAGES!r}:
+    __import__("repro." + name)
+print("scipy.stats" in sys.modules)
+"""
+
+
+def test_startup_imports_no_scipy_stats():
+    """Start-up stays numpy-only: the registry path loads no scipy at
+    all, and no ``repro`` package -- the CLI and everything perfbench
+    preloads included -- loads ``scipy.stats`` (about 0.8 s of
+    imports).  Checked in a fresh interpreter."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]

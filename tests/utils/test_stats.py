@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 from repro.utils import (
     SummaryStats,
@@ -167,6 +168,21 @@ class TestConfidenceInterval:
         _, hw_small = confidence_interval(rng.normal(size=10))
         _, hw_large = confidence_interval(rng.normal(size=1000))
         assert hw_large < hw_small
+
+    def test_half_width_bit_identical_to_t_ppf(self):
+        rng = np.random.default_rng(7)
+        for df in range(1, 301):
+            sample = rng.normal(size=df + 1)
+            sem = float(sample.std(ddof=1)) / math.sqrt(sample.size)
+            for confidence in (0.8, 0.9, 0.95, 0.99):
+                t = float(stats.t.ppf(0.5 + confidence / 2.0, df=df))
+                _, hw = confidence_interval(sample, confidence=confidence)
+                assert hw == t * sem, (df, confidence)
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.2, math.nan])
+    def test_confidence_outside_unit_interval_raises(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            confidence_interval([1.0, 2.0, 3.0], confidence=confidence)
 
 
 class TestBatchMeans:
