@@ -14,8 +14,6 @@ exit code).
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.check.diagnostics import Diagnostic, make_diagnostic
 from repro.core.application import ApplicationGraph, TaskGraph
 from repro.core.architecture import (
@@ -53,17 +51,12 @@ def _subject(kind: str, name: str, element: str = "") -> str:
 def verify_application(app: ApplicationGraph) -> list[Diagnostic]:
     """Structural checks on a process network (RC101..RC106)."""
     diags: list[Diagnostic] = []
-    graph = app._graph
     name = app.name
 
     # RC103 first: reachability below assumes the usual acyclic case.
-    try:
-        cycle = nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
-        cycle = []
+    cycle = app.find_cycle()
     if cycle:
-        loop = " -> ".join([edge[0] for edge in cycle]
-                           + [cycle[0][0]])
+        loop = " -> ".join(cycle + cycle[:1])
         diags.append(make_diagnostic(
             "RC103",
             f"channel cycle {loop} has no initial tokens and will "
@@ -74,7 +67,7 @@ def verify_application(app: ApplicationGraph) -> list[Diagnostic]:
     rated = [p.name for p in app.sources() if p.rate_hz is not None]
     reachable: set[str] = set(rated)
     for source in rated:
-        reachable |= nx.descendants(graph, source)
+        reachable |= app.descendants(source)
     for process in app.processes:
         if process.name not in reachable:
             diags.append(make_diagnostic(
@@ -84,8 +77,8 @@ def verify_application(app: ApplicationGraph) -> list[Diagnostic]:
                 _subject("app", name, f"process:{process.name}"),
             ))
 
-    if len(app) > 1 and not nx.is_weakly_connected(graph):
-        n_parts = nx.number_weakly_connected_components(graph)
+    n_parts = app.fragment_count()
+    if n_parts > 1:
         diags.append(make_diagnostic(
             "RC102",
             f"application graph splits into {n_parts} disconnected "
@@ -94,7 +87,7 @@ def verify_application(app: ApplicationGraph) -> list[Diagnostic]:
         ))
 
     for process in app.sources():
-        if process.rate_hz is None and graph.out_degree(process.name):
+        if process.rate_hz is None and app.successors(process.name):
             diags.append(make_diagnostic(
                 "RC104",
                 f"source process {process.name!r} has no rate_hz",
@@ -112,7 +105,7 @@ def verify_application(app: ApplicationGraph) -> list[Diagnostic]:
             ))
 
     if not cycle:
-        rates = _activation_rates(app)
+        rates = app.activation_rates()
         for process in app.processes:
             preds = app.predecessors(process.name)
             if len(preds) < 2:
@@ -132,30 +125,14 @@ def verify_application(app: ApplicationGraph) -> list[Diagnostic]:
     return diags
 
 
-def _activation_rates(app: ApplicationGraph) -> dict[str, float]:
-    """Steady-state token rate per process (max-of-inputs join rule,
-    matching :class:`~repro.core.evaluation.AnalyticalEvaluator`)."""
-    rates: dict[str, float] = {}
-    for name in nx.lexicographical_topological_sort(app._graph):
-        process = app.process(name)
-        preds = app.predecessors(name)
-        if process.rate_hz is not None:
-            rates[name] = process.rate_hz
-        elif preds:
-            rates[name] = max(rates[p] for p in preds)
-        else:
-            rates[name] = 0.0
-    return rates
-
-
 # ----------------------------------------------------------------------
 # Task graphs
 # ----------------------------------------------------------------------
 def verify_task_graph(tg: TaskGraph) -> list[Diagnostic]:
     """Structural checks on a task DAG (RC102, RC107)."""
     diags: list[Diagnostic] = []
-    if len(tg) > 1 and not nx.is_weakly_connected(tg._graph):
-        n_parts = nx.number_weakly_connected_components(tg._graph)
+    n_parts = tg.fragment_count()
+    if n_parts > 1:
         diags.append(make_diagnostic(
             "RC102",
             f"task graph splits into {n_parts} disconnected fragments",
@@ -323,7 +300,7 @@ def _utilization_diags(
     """RC120: aggregate offered load per PE must stay below 1."""
     utils: dict[str, float] = {pe.name: 0.0 for pe in platform.pes}
     if isinstance(app, ApplicationGraph):
-        rates = _activation_rates(app)
+        rates = app.activation_rates()
         demands = [
             (p.name, rates[p.name] * p.cycles_mean)
             for p in app.processes
@@ -362,7 +339,7 @@ def _bandwidth_diags(
     if bandwidth is None:
         return []
     if isinstance(app, ApplicationGraph):
-        rates = _activation_rates(app)
+        rates = app.activation_rates()
         edge_bps = [
             (c.src, c.dst, rates[c.src] * c.bits_per_token)
             for c in app.channels
@@ -446,14 +423,7 @@ def _deadline_diags_application(
     f_max = _fastest_frequency(platform)
     if f_max <= 0 or not app.is_acyclic():
         return []
-    longest: dict[str, float] = {}
-    for name in nx.lexicographical_topological_sort(app._graph):
-        incoming = [longest[p] for p in app.predecessors(name)]
-        longest[name] = app.process(name).cycles_mean + (
-            max(incoming) if incoming else 0.0)
-    worst_sink = max(
-        (longest[s.name] for s in app.sinks()), default=0.0
-    )
+    worst_sink = app.critical_path_cycles()
     best_case = worst_sink / f_max
     if best_case > qos.max_latency:
         return [make_diagnostic(

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable
 
-import networkx as nx
+from repro.utils import _graphs
 
 __all__ = [
     "MediaType",
@@ -112,7 +112,57 @@ class ChannelSpec:
         return (self.src, self.dst)
 
 
-class ApplicationGraph:
+class _Digraph:
+    """The edges of a process or task graph: one insertion-ordered
+    successor map, ``_graph[src][dst]`` holding the edge's spec, and
+    its mirror ``_pred[dst][src]``."""
+
+    def __init__(self) -> None:
+        self._graph: dict[str, dict[str, object]] = {}
+        self._pred: dict[str, dict[str, object]] = {}
+
+    def _add_node(self, name: str) -> None:
+        self._graph[name] = {}
+        self._pred[name] = {}
+
+    def _add_edge(self, src: str, dst: str, spec: object) -> None:
+        self._graph[src][dst] = spec
+        self._pred[dst][src] = spec
+
+    def predecessors(self, name: str) -> list[str]:
+        """Names of the direct predecessors of ``name``."""
+        return list(self._pred[name])
+
+    def successors(self, name: str) -> list[str]:
+        """Names of the direct successors of ``name``."""
+        return list(self._graph[name])
+
+    def descendants(self, name: str) -> set[str]:
+        """Names of every node reachable from ``name``."""
+        return _graphs.descendants(self._graph, name)
+
+    def topological_order(self) -> list[str]:
+        """Node names in lexicographic topological order (among the
+        nodes whose predecessors are all listed, the smallest name
+        comes first); ``ValueError`` when the graph has a cycle."""
+        return _graphs.topological_order(self._graph)
+
+    def fragment_count(self) -> int:
+        """Number of weakly connected components."""
+        return len(_graphs.components(self._graph))
+
+    def _critical_path(self, cycles: Callable[[str], float]) -> float:
+        """Largest sum of ``cycles`` along any path."""
+        longest: dict[str, float] = {}
+        for name in self.topological_order():
+            incoming = [longest[p] for p in self._pred[name]]
+            longest[name] = cycles(name) + (
+                max(incoming) if incoming else 0.0
+            )
+        return max(longest.values(), default=0.0)
+
+
+class ApplicationGraph(_Digraph):
     """A multimedia application as a process network.
 
     Examples
@@ -128,8 +178,8 @@ class ApplicationGraph:
     """
 
     def __init__(self, name: str = "app"):
+        super().__init__()
         self.name = name
-        self._graph = nx.DiGraph()
         self._processes: dict[str, ProcessNode] = {}
         self._channels: dict[tuple[str, str], ChannelSpec] = {}
 
@@ -141,7 +191,7 @@ class ApplicationGraph:
         if process.name in self._processes:
             raise ValueError(f"duplicate process {process.name!r}")
         self._processes[process.name] = process
-        self._graph.add_node(process.name)
+        self._add_node(process.name)
         return process
 
     def add_channel(self, channel: ChannelSpec) -> ChannelSpec:
@@ -154,7 +204,7 @@ class ApplicationGraph:
         if channel.src == channel.dst:
             raise ValueError("self-loop channels are not allowed")
         self._channels[channel.key] = channel
-        self._graph.add_edge(channel.src, channel.dst)
+        self._add_edge(channel.src, channel.dst, channel)
         return channel
 
     # ------------------------------------------------------------------
@@ -186,39 +236,55 @@ class ApplicationGraph:
 
     def sources(self) -> list[ProcessNode]:
         """Processes with no incoming channels."""
-        return [
-            self._processes[n]
-            for n in self._processes
-            if self._graph.in_degree(n) == 0
-        ]
+        return [p for n, p in self._processes.items() if not self._pred[n]]
 
     def sinks(self) -> list[ProcessNode]:
         """Processes with no outgoing channels."""
-        return [
-            self._processes[n]
-            for n in self._processes
-            if self._graph.out_degree(n) == 0
-        ]
-
-    def predecessors(self, name: str) -> list[str]:
-        """Names of processes feeding ``name``."""
-        return list(self._graph.predecessors(name))
-
-    def successors(self, name: str) -> list[str]:
-        """Names of processes fed by ``name``."""
-        return list(self._graph.successors(name))
+        return [p for n, p in self._processes.items() if not self._graph[n]]
 
     def in_channels(self, name: str) -> list[ChannelSpec]:
         """Channels into process ``name``."""
-        return [self._channels[(p, name)] for p in self.predecessors(name)]
+        return list(self._pred[name].values())
 
     def out_channels(self, name: str) -> list[ChannelSpec]:
         """Channels out of process ``name``."""
-        return [self._channels[(name, s)] for s in self.successors(name)]
+        return list(self._graph[name].values())
+
+    def find_cycle(self) -> list[str]:
+        """Processes around the first channel cycle a depth-first
+        search in insertion order meets (``[]`` when acyclic): each
+        feeds the next, and the last feeds the first."""
+        return _graphs.find_cycle(self._graph)
 
     def is_acyclic(self) -> bool:
         """True when the process network has no feedback loops."""
-        return nx.is_directed_acyclic_graph(self._graph)
+        return not self.find_cycle()
+
+    def activation_rates(self) -> dict[str, float]:
+        """Steady-state activation rate of each process (tokens/s).
+
+        Sources activate at their own rate; every other process activates
+        at the maximum of its predecessors' rates (join consumes one token
+        per input per activation).  ``ValueError`` on a cyclic graph.
+        """
+        rates: dict[str, float] = {}
+        for name in self.topological_order():
+            process = self._processes[name]
+            preds = self._pred[name]
+            if process.rate_hz is not None:
+                rates[name] = process.rate_hz
+            elif preds:
+                rates[name] = max(rates[p] for p in preds)
+            else:
+                rates[name] = 0.0
+        return rates
+
+    def critical_path_cycles(self) -> float:
+        """Largest mean cycle demand along any channel path (a join
+        waits for all its inputs).  ``ValueError`` on a cyclic graph.
+        """
+        return self._critical_path(
+            lambda name: self._processes[name].cycles_mean)
 
     # ------------------------------------------------------------------
     # Aggregate demands
@@ -238,10 +304,11 @@ class ApplicationGraph:
         for source in self.sources():
             if source.rate_hz is None:
                 continue
-            reachable = nx.descendants(self._graph, source.name)
+            reachable = self.descendants(source.name)
             reachable.add(source.name)
             demand += source.rate_hz * sum(
-                self._processes[n].cycles_mean for n in reachable
+                p.cycles_mean for n, p in self._processes.items()
+                if n in reachable
             )
         return demand
 
@@ -255,13 +322,11 @@ class ApplicationGraph:
         if not self._processes:
             raise ValueError("application has no processes")
         for source in self.sources():
-            if source.rate_hz is None and self._graph.out_degree(
-                    source.name):
+            if source.rate_hz is None and self._graph[source.name]:
                 raise ValueError(
                     f"source process {source.name!r} has no rate"
                 )
-        if len(self._processes) > 1 and not nx.is_weakly_connected(
-                self._graph):
+        if len(self._processes) > 1 and self.fragment_count() > 1:
             raise ValueError("application graph is not connected")
 
     # ------------------------------------------------------------------
@@ -375,7 +440,7 @@ class Dependency:
             raise ValueError("negative data volume")
 
 
-class TaskGraph:
+class TaskGraph(_Digraph):
     """A DAG of tasks with data volumes and soft deadlines (§3.3).
 
     Used by the NoC mapping and scheduling experiments: nodes carry
@@ -384,9 +449,9 @@ class TaskGraph:
     """
 
     def __init__(self, name: str = "taskgraph", period: float | None = None):
+        super().__init__()
         self.name = name
         self.period = period
-        self._graph = nx.DiGraph()
         self._tasks: dict[str, Task] = {}
         self._deps: dict[tuple[str, str], Dependency] = {}
 
@@ -395,7 +460,7 @@ class TaskGraph:
         if task.name in self._tasks:
             raise ValueError(f"duplicate task {task.name!r}")
         self._tasks[task.name] = task
-        self._graph.add_node(task.name)
+        self._add_node(task.name)
         return task
 
     def add_dependency(self, dep: Dependency) -> Dependency:
@@ -403,13 +468,12 @@ class TaskGraph:
         for endpoint in (dep.src, dep.dst):
             if endpoint not in self._tasks:
                 raise ValueError(f"unknown task {endpoint!r}")
-        self._graph.add_edge(dep.src, dep.dst)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(dep.src, dep.dst)
+        if dep.src == dep.dst or dep.src in self.descendants(dep.dst):
             raise ValueError(
                 f"dependency {dep.src}->{dep.dst} creates a cycle"
             )
         self._deps[(dep.src, dep.dst)] = dep
+        self._add_edge(dep.src, dep.dst, dep)
         return dep
 
     @property
@@ -433,31 +497,13 @@ class TaskGraph:
     def __len__(self) -> int:
         return len(self._tasks)
 
-    def predecessors(self, name: str) -> list[str]:
-        """Direct predecessors of task ``name``."""
-        return list(self._graph.predecessors(name))
-
-    def successors(self, name: str) -> list[str]:
-        """Direct successors of task ``name``."""
-        return list(self._graph.successors(name))
-
     def entry_tasks(self) -> list[Task]:
         """Tasks with no predecessors."""
-        return [
-            self._tasks[n] for n in self._tasks
-            if self._graph.in_degree(n) == 0
-        ]
+        return [t for n, t in self._tasks.items() if not self._pred[n]]
 
     def exit_tasks(self) -> list[Task]:
         """Tasks with no successors."""
-        return [
-            self._tasks[n] for n in self._tasks
-            if self._graph.out_degree(n) == 0
-        ]
-
-    def topological_order(self) -> list[str]:
-        """Task names in a deterministic topological order."""
-        return list(nx.lexicographical_topological_sort(self._graph))
+        return [t for n, t in self._tasks.items() if not self._graph[n]]
 
     def total_cycles(self) -> float:
         """Sum of all task demands."""
@@ -473,15 +519,7 @@ class TaskGraph:
         A lower bound on makespan (in cycles) on any number of processors
         when communication is free.
         """
-        longest: dict[str, float] = {}
-        for name in self.topological_order():
-            incoming = [
-                longest[p] for p in self._graph.predecessors(name)
-            ]
-            longest[name] = self._tasks[name].cycles + (
-                max(incoming) if incoming else 0.0
-            )
-        return max(longest.values()) if longest else 0.0
+        return self._critical_path(lambda name: self._tasks[name].cycles)
 
     def communication_pairs(self) -> Iterable[tuple[str, str, float]]:
         """Yield ``(src, dst, bits)`` for every dependency with data."""

@@ -329,18 +329,6 @@ class Platform:
         """Sum of PE idle powers — the platform's floor power draw."""
         return sum(pe.idle_power for pe in self._pes.values())
 
-    def available_pes(self) -> list[ProcessingElement]:
-        """PEs currently in service."""
-        return [pe for pe in self._pes.values() if pe.available]
-
-    def fail_pe(self, name: str) -> None:
-        """Take a PE out of service (fault injection)."""
-        self._pes[name].fail()
-
-    def repair_pe(self, name: str) -> None:
-        """Return a PE to service."""
-        self._pes[name].repair()
-
     # ------------------------------------------------------------------
     # Canonical (de)serialization
     # ------------------------------------------------------------------

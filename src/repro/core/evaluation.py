@@ -335,34 +335,9 @@ class AnalyticalEvaluator:
         self.platform = platform
         self.mapping = mapping
 
-    def activation_rates(self) -> dict[str, float]:
-        """Steady-state activation rate of each process (tokens/s).
-
-        Sources activate at their own rate; every other process activates
-        at the maximum of its predecessors' rates (join consumes one token
-        per input per activation).
-        """
-        rates: dict[str, float] = {}
-        order = list(self._topological_names())
-        for name in order:
-            process = self.app.process(name)
-            preds = self.app.predecessors(name)
-            if process.rate_hz is not None:
-                rates[name] = process.rate_hz
-            elif preds:
-                rates[name] = max(rates[p] for p in preds)
-            else:
-                rates[name] = 0.0
-        return rates
-
-    def _topological_names(self):
-        import networkx as nx
-
-        return nx.lexicographical_topological_sort(self.app._graph)
-
     def pe_utilizations(self) -> dict[str, float]:
         """Offered load per PE (may exceed 1 for infeasible mappings)."""
-        rates = self.activation_rates()
+        rates = self.app.activation_rates()
         utils = {pe.name: 0.0 for pe in self.platform.pes}
         for process in self.app.processes:
             pe = self.platform.pe(self.mapping.pe_of(process.name))
@@ -373,12 +348,12 @@ class AnalyticalEvaluator:
 
     def evaluate(self) -> EvaluationResult:
         """Return analytical QoS and power estimates."""
-        rates = self.activation_rates()
+        rates = self.app.activation_rates()
         utils = self.pe_utilizations()
 
         # End-to-end latency: longest path of per-process sojourn times.
         sojourn: dict[str, float] = {}
-        for name in self._topological_names():
+        for name in self.app.topological_order():
             process = self.app.process(name)
             pe = self.platform.pe(self.mapping.pe_of(name))
             service = process.cycles_mean / pe.frequency

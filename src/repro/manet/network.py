@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.manet.energy import RadioModel
 from repro.manet.node import ManetNode
+from repro.utils import _graphs
 from repro.utils.rng import spawn_rng
 
 __all__ = ["ManetNetwork", "random_network"]
@@ -17,13 +16,25 @@ __all__ = ["ManetNetwork", "random_network"]
 # positions — and hits are exact across instances.
 #
 # _FULL_EDGES: all-pairs in-range edge list for a node layout,
-# regardless of aliveness: (a_id, b_id, distance, tx_energy_unit).
-# _GRAPHS: built connectivity graphs per alive subset.  Graph-level
-# annotations the routing protocols attach (e.g. min-power route
-# memos) are pure functions of topology + radio, so sharing them is
-# exact too.
-_FULL_EDGES: dict[tuple, list[tuple[int, int, float, float]]] = {}
-_GRAPHS: dict[tuple, nx.Graph] = {}
+# regardless of aliveness: (a_id, b_id, tx_energy_unit).
+# _GRAPHS: built connectivity graphs per alive subset.  The min-power
+# route memo they carry is a pure function of topology + radio, so
+# sharing it is exact too.
+_FULL_EDGES: dict[tuple, list[tuple[int, int, float]]] = {}
+_GRAPHS: dict[tuple, "ConnectivityGraph"] = {}
+
+
+class ConnectivityGraph(dict):
+    """``{node_id: {neighbour_id: tx_energy_unit}}`` over the alive
+    nodes, symmetric, plus ``min_power_routes``: the
+    ``{(src, dst): route}`` memo of
+    :class:`~repro.manet.routing.MinimumPowerRouting`."""
+
+    __slots__ = ("min_power_routes",)
+
+    def __init__(self, node_ids):
+        super().__init__((node_id, {}) for node_id in node_ids)
+        self.min_power_routes: dict[tuple[int, int], list[int] | None] = {}
 
 
 class ManetNetwork:
@@ -72,12 +83,11 @@ class ManetNetwork:
         """Fraction of nodes still alive."""
         return len(self.alive_nodes()) / len(self.nodes)
 
-    def connectivity_graph(self) -> nx.Graph:
-        """Undirected graph of links between alive nodes in range.
-
-        Each edge carries ``distance`` and ``tx_energy_unit`` (the TX
-        energy for one bit across it, precomputed so routing metrics
-        never re-evaluate the radio model per Dijkstra relaxation).
+    def connectivity_graph(self) -> ConnectivityGraph:
+        """Links between alive nodes in range, as a symmetric
+        adjacency whose values are each link's ``tx_energy_unit``
+        (the TX energy for one bit across it, precomputed so routing
+        metrics never re-evaluate the radio model per relaxation).
 
         Graphs are cached (module-wide, keyed on radio, range, alive
         nodes and positions — the only inputs), so battery drain
@@ -85,10 +95,10 @@ class ManetNetwork:
         earlier topology, and identically-seeded sibling networks in a
         sweep all reuse a built graph instead of an O(n^2) rebuild.
         Callers share the cached instance, so it must not change:
-        neither its structure nor its edge attributes.  Only pure
-        functions of the topology may be memoized on it, in the
-        graph-level attribute dict (as min-power routing does);
-        battery-dependent weights belong in the caller's own copy.
+        neither its links nor their values.  Only pure functions of
+        the topology may be memoized on it (as min-power routing does
+        in ``min_power_routes``); battery-dependent weights belong in
+        the caller's own copy.
         """
         radio = self.radio
         tx_range = self.tx_range
@@ -102,10 +112,9 @@ class ManetNetwork:
         if graph is not None:
             return graph
         # All-pairs edge precompute for this layout: pairs are walked
-        # in node order here and filtered by aliveness below, the same
-        # relative (and therefore adjacency-insertion) order the naive
-        # alive×alive loop produced — Dijkstra tie-breaks are
-        # insertion-order-sensitive, so this must not change.
+        # in node order here and filtered by aliveness below, so the
+        # adjacency keeps node order (LPR's discovery weights depend
+        # on which endpoint of a link comes first).
         full_key = (radio, tx_range,
                     tuple((n.node_id, n.x, n.y)
                           for n in self.nodes.values()))
@@ -118,21 +127,18 @@ class ManetNetwork:
                 for b in everyone[i + 1:]:
                     distance = a.distance_to(b)
                     if distance <= tx_range:
-                        edges.append((a.node_id, b.node_id, distance,
+                        edges.append((a.node_id, b.node_id,
                                       tx_energy(1.0, distance)))
             if len(_FULL_EDGES) >= 64:
                 # Mobility workloads never repeat a layout; bound the
                 # cache instead of holding every historic one.
                 _FULL_EDGES.clear()
             _FULL_EDGES[full_key] = edges
-        alive_ids = {node_id for node_id, _, _ in alive_key}
-        graph = nx.Graph()
-        graph.add_nodes_from(node_id for node_id, _, _ in alive_key)
-        add_edge = graph.add_edge
-        for a_id, b_id, distance, unit in edges:
-            if a_id in alive_ids and b_id in alive_ids:
-                add_edge(a_id, b_id, distance=distance,
-                         tx_energy_unit=unit)
+        graph = ConnectivityGraph(node_id for node_id, _, _ in alive_key)
+        for a_id, b_id, unit in edges:
+            if a_id in graph and b_id in graph:
+                graph[a_id][b_id] = unit
+                graph[b_id][a_id] = unit
         if len(_GRAPHS) >= 2048:
             _GRAPHS.clear()
         _GRAPHS[key] = graph
@@ -141,9 +147,7 @@ class ManetNetwork:
     def is_connected(self) -> bool:
         """True when alive nodes form one component."""
         graph = self.connectivity_graph()
-        if graph.number_of_nodes() <= 1:
-            return False
-        return nx.is_connected(graph)
+        return len(graph) > 1 and len(_graphs.components(graph)) == 1
 
     def forward(self, route: list[int], bits: float,
                 count_rx: bool = True) -> float:

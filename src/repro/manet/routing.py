@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
-
-import networkx as nx
+from typing import Collection
 
 from repro.manet.network import ManetNetwork
 
@@ -53,9 +52,6 @@ class RoutingProtocol:
         """Route from ``src`` to ``dst`` or ``None`` if unreachable."""
         raise NotImplementedError
 
-    def _graph(self, network: ManetNetwork) -> nx.Graph:
-        return network.connectivity_graph()
-
 
 class MinimumPowerRouting(RoutingProtocol):
     """Least-transmit-energy path (Dijkstra on TX energy), per [30]."""
@@ -65,34 +61,26 @@ class MinimumPowerRouting(RoutingProtocol):
 
     def find_route(self, network: ManetNetwork, src: int,
                    dst: int) -> list[int] | None:
-        graph = self._graph(network)
+        graph = network.connectivity_graph()
         if src not in graph or dst not in graph:
             return None
         # Min-power link costs depend only on the topology, so for a
         # given connectivity graph the (src, dst) route is a pure
-        # function — memoize it on the graph itself (graph-level attr
-        # dict), which the network rebuilds on every topology change.
-        memo = graph.graph.setdefault("_min_power_routes", {})
+        # function — memoize it on the graph itself, which the network
+        # rebuilds on every topology change.
+        memo = graph.min_power_routes
         route = memo.get((src, dst), False)
-        if route is not False:
-            return route
-        # tx_energy_unit is precomputed per edge at graph build (the
-        # same radio.tx_energy(1.0, distance) value this protocol used
-        # to evaluate per relaxation).
-        try:
-            route = nx.dijkstra_path(graph, src, dst,
-                                     weight="tx_energy_unit")
-        except nx.NetworkXNoPath:
-            route = None
-        memo[(src, dst)] = route
+        if route is False:
+            route = memo[(src, dst)] = _dijkstra_path(graph, src, dst)
         return route
 
 
 class BatteryCostRouting(RoutingProtocol):
     """Battery-cost-aware routing (after [31]).
 
-    Link cost = TX energy × f(residual) with f(r) = 1/r: a nearly-empty
-    forwarder makes its links expensive, spreading load.
+    Link cost = TX energy × f(residual) with f(r) = 1/r of the sending
+    end: a nearly-empty forwarder makes its outgoing links expensive,
+    spreading load.
     """
 
     name = "battery-cost"
@@ -100,18 +88,17 @@ class BatteryCostRouting(RoutingProtocol):
 
     def find_route(self, network: ManetNetwork, src: int,
                    dst: int) -> list[int] | None:
-        graph = self._graph(network)
+        graph = network.connectivity_graph()
         if src not in graph or dst not in graph:
             return None
-
-        def weight(u, v, data):
+        # Directed weights in a private adjacency (the graph is a
+        # shared cache): u -> v costs unit / residual(u).
+        adjacency: dict[int, dict[int, float]] = {}
+        for u, nbrs in graph.items():
             residual = max(network.node(u).residual_fraction, 1e-6)
-            return data["tx_energy_unit"] / residual
-
-        try:
-            return nx.dijkstra_path(graph, src, dst, weight=weight)
-        except nx.NetworkXNoPath:
-            return None
+            adjacency[u] = {v: unit / residual
+                            for v, unit in nbrs.items()}
+        return _dijkstra_path(adjacency, src, dst)
 
 
 class LifetimePredictionRouting(RoutingProtocol):
@@ -141,7 +128,7 @@ class LifetimePredictionRouting(RoutingProtocol):
 
     def find_route(self, network: ManetNetwork, src: int,
                    dst: int) -> list[int] | None:
-        graph = self._graph(network)
+        graph = network.connectivity_graph()
         if src not in graph or dst not in graph:
             return None
 
@@ -152,18 +139,20 @@ class LifetimePredictionRouting(RoutingProtocol):
                 for node_id in route[1:]
             )
 
-        # Discovery metric: transmit energy inflated by the sender's
-        # battery depletion (the route-request flooding of LPR reaches
-        # the destination along paths that avoid tired forwarders), so
+        # Discovery metric: transmit energy inflated by battery
+        # depletion (the route-request flooding of LPR reaches the
+        # destination along paths that avoid tired nodes), so
         # candidates are both energy-competitive and diverse; the
-        # lifetime criterion then arbitrates among them.  The weights
+        # lifetime criterion then arbitrates among them.  Each link
+        # weighs unit / residual of its endpoint that comes first in
+        # node order, the same weight in both directions.  The weights
         # live in a private adjacency: the graph is a shared cache.
         adjacency: dict[int, dict[int, float]] = {n: {} for n in graph}
-        for u, v, data in graph.edges(data=True):
+        for u, nbrs in graph.items():
             residual = max(network.node(u).residual_fraction, 1e-6)
-            weight = data["tx_energy_unit"] / residual
-            adjacency[u][v] = weight
-            adjacency[v][u] = weight
+            for v, unit in nbrs.items():
+                if v not in adjacency[u]:  # else weighed from v first
+                    adjacency[u][v] = adjacency[v][u] = unit / residual
         candidates = _k_shortest_paths(adjacency, src, dst,
                                        self.n_candidates)
         if not candidates:
@@ -172,11 +161,13 @@ class LifetimePredictionRouting(RoutingProtocol):
 
 
 def _dijkstra_path(adjacency: dict[int, dict[int, float]], src: int,
-                   dst: int, banned: set[int],
-                   banned_first_hops: set[int]) -> list[int] | None:
-    """Least-weight ``src``→``dst`` path that visits no ``banned`` node
-    and does not leave ``src`` towards a ``banned_first_hops`` node, or
-    ``None`` when there is none."""
+                   dst: int, banned: Collection[int] = (),
+                   banned_first_hops: Collection[int] = (),
+                   ) -> list[int] | None:
+    """Least-weight ``src``→``dst`` path over a ``{u: {v: w}}``
+    adjacency that visits no ``banned`` node and does not leave ``src``
+    towards a ``banned_first_hops`` node, or ``None`` when there is
+    none.  Equal-distance ties go to the smaller node id."""
     if src == dst:
         return [src]
     done = set(banned)
@@ -220,7 +211,7 @@ def _k_shortest_paths(adjacency: dict[int, dict[int, float]], src: int,
     Candidates pop in cost order, ties by discovery order, and each
     simple path is offered once.
     """
-    first = _dijkstra_path(adjacency, src, dst, set(), set())
+    first = _dijkstra_path(adjacency, src, dst)
     if first is None:
         return []
 

@@ -14,7 +14,6 @@ hot-link load, the quantity that would force a conservative NoC design.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.des import Environment
@@ -39,11 +38,6 @@ class MemoryStudyResult:
     hot_link_bps: float        # absolute load on the busiest link
                                # (analytic, XY routes) — the figure a
                                # conservative NoC must be sized for
-
-    @property
-    def network_fraction(self) -> float:
-        """Set by the caller: network bits over total access bits."""
-        return getattr(self, "_network_fraction", math.nan)
 
 
 def hot_link_load(mesh: Mesh2D, flows: list[tuple[Tile, Tile, float]]

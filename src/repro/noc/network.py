@@ -195,8 +195,3 @@ class NocNetwork:
             self._m_energy.inc(energy)
             self._m_latency.observe(latency)
             self._m_hops.observe(hops)
-
-    def link_utilization(self) -> float:
-        """Fraction of links currently held (an instantaneous gauge)."""
-        held = sum(1 for r in self._links.values() if r.count)
-        return held / len(self._links) if self._links else math.nan

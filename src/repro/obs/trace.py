@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 __all__ = ["TraceEvent", "Span", "Tracer"]
 
@@ -206,12 +206,6 @@ class Tracer:
                 TraceEvent.from_dict(json.loads(line))
                 for line in fh if line.strip()
             )
-        return tracer
-
-    @classmethod
-    def from_events(cls, events: Iterable[TraceEvent]) -> "Tracer":
-        tracer = cls()
-        tracer.events.extend(events)
         return tracer
 
     def __repr__(self) -> str:

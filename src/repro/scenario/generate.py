@@ -44,6 +44,7 @@ from repro.core.architecture import (
 from repro.core.mapping import Mapping
 from repro.core.qos import QoSSpec
 from repro.scenario.codec import Scenario, save, verify
+from repro.utils import _graphs
 from repro.utils.rng import derive_seed
 
 __all__ = [
@@ -205,16 +206,12 @@ class ScenarioGenerator:
         # into parallel strands (a->c, b->d).  Bridge components with
         # layer-0 -> layer>=1 edges, which keeps the DAG and never
         # turns a rated source into a join target.
-        import networkx as nx
-
-        undirected = nx.Graph()
-        for layer in layers:
-            undirected.add_nodes_from(layer)
-        undirected.add_edges_from(edges)
         layer_of = {name: i for i, layer in enumerate(layers)
                     for name in layer}
-        components = sorted(nx.connected_components(undirected),
-                            key=min)
+        succ: dict[str, list[str]] = {name: [] for name in layer_of}
+        for src, dst in edges:
+            succ[src].append(dst)
+        components = sorted(_graphs.components(succ), key=min)
         anchor = min(n for n in components[0] if layer_of[n] == 0)
         for component in components[1:]:
             target = min(n for n in component if layer_of[n] >= 1)
@@ -330,14 +327,7 @@ class ScenarioGenerator:
     def _safe_latency(self, app: ApplicationGraph,
                       platform: Platform) -> float:
         """A latency bound that clears RC121's best-case path check."""
-        import networkx as nx
-
-        longest: dict[str, float] = {}
-        for name in nx.lexicographical_topological_sort(app._graph):
-            incoming = [longest[p] for p in app.predecessors(name)]
-            longest[name] = app.process(name).cycles_mean + (
-                max(incoming) if incoming else 0.0)
-        worst = max(longest.values(), default=0.0)
+        worst = app.critical_path_cycles()
         f_max = max(pe.frequency for pe in platform.pes)
         return worst / f_max * 10.0 + 0.1
 

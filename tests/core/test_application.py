@@ -101,6 +101,29 @@ class TestApplicationGraph:
         app.add_channel(ChannelSpec("dst", "src"))
         assert not app.is_acyclic()
 
+    def test_activation_rates_propagate(self):
+        rates = small_pipeline().activation_rates()
+        assert rates == {"src": 30.0, "mid": 30.0, "dst": 30.0}
+
+    def test_join_activates_at_fastest_input(self):
+        app = small_pipeline()
+        app.add_process(ProcessNode("fast", 0.0, rate_hz=50.0))
+        app.add_channel(ChannelSpec("fast", "dst"))
+        assert app.activation_rates()["dst"] == 50.0
+
+    def test_graph_orders_reject_a_cycle(self):
+        app = small_pipeline()
+        app.add_channel(ChannelSpec("dst", "src"))
+        with pytest.raises(ValueError, match="cycle"):
+            app.topological_order()
+        with pytest.raises(ValueError, match="cycle"):
+            app.activation_rates()
+
+    def test_critical_path_cycles(self):
+        app = small_pipeline()
+        assert app.critical_path_cycles() == pytest.approx(1500.0)
+        assert ApplicationGraph().critical_path_cycles() == 0.0
+
     def test_source_rate(self):
         app = small_pipeline()
         assert app.source_rate() == pytest.approx(30.0)
@@ -154,6 +177,12 @@ class TestTaskGraph:
         assert ("d", "a") not in [
             (d.src, d.dst) for d in tg.dependencies
         ]
+
+    def test_self_dependency_rejected(self):
+        tg = diamond_taskgraph()
+        with pytest.raises(ValueError, match="cycle"):
+            tg.add_dependency(Dependency("b", "b"))
+        assert tg.successors("b") == ["d"]
 
     def test_duplicate_task_rejected(self):
         tg = diamond_taskgraph()

@@ -221,14 +221,6 @@ class TestSimulationEvaluator:
 
 
 class TestAnalyticalEvaluator:
-    def test_activation_rates_propagate(self):
-        app = pipeline_app(rate=30.0)
-        analytical = AnalyticalEvaluator(
-            app, two_pe_platform(), spread_mapping()
-        )
-        rates = analytical.activation_rates()
-        assert rates == {"src": 30.0, "mid": 30.0, "dst": 30.0}
-
     def test_utilization_formula(self):
         app = pipeline_app(rate=30.0,
                            cycles=(1_000.0, 200_000.0, 100_000.0))

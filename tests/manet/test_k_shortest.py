@@ -81,9 +81,8 @@ class TestSharedGraphHygiene:
             network.node(node_id).consume(
                 0.4 * network.node(node_id).battery)
         graph = network.connectivity_graph()
-        before = {(u, v): dict(d) for u, v, d in graph.edges(data=True)}
-        ids = sorted(graph.nodes)
+        before = {u: dict(nbrs) for u, nbrs in graph.items()}
+        ids = sorted(graph)
         LifetimePredictionRouting().find_route(network, ids[0], ids[-1])
         assert network.connectivity_graph() is graph
-        assert {(u, v): dict(d)
-                for u, v, d in graph.edges(data=True)} == before
+        assert {u: dict(nbrs) for u, nbrs in graph.items()} == before

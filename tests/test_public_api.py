@@ -69,15 +69,35 @@ print("scipy.stats" in sys.modules)
 """
 
 
+def _fresh_interpreter(probe: str) -> list[str]:
+    """Whitespace-split stdout of ``probe`` run in a new interpreter."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
 def test_startup_imports_no_scipy_stats():
     """Start-up stays numpy-only: the registry path loads no scipy at
     all, and no ``repro`` package -- the CLI and everything perfbench
     preloads included -- loads ``scipy.stats`` (about 0.8 s of
     imports).  Checked in a fresh interpreter."""
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "False"]
+    assert _fresh_interpreter(_STARTUP_PROBE) == ["False", "False"]
+
+
+_RUN_PROBE = """
+import sys
+from repro import experiments
+experiments.run("e9")
+print("networkx" in sys.modules)
+"""
+
+
+def test_single_run_imports_no_networkx():
+    """networkx is a test-only oracle: running an experiment -- e9's
+    MANET routing, with the default model pre-flight (``verify=True``)
+    over process and task graphs -- never imports it."""
+    assert _fresh_interpreter(_RUN_PROBE) == ["False"]
