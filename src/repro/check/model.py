@@ -421,7 +421,7 @@ def _deadline_diags_application(
     if qos.max_latency is None:
         return []
     f_max = _fastest_frequency(platform)
-    if f_max <= 0 or not app.is_acyclic():
+    if f_max <= 0:
         return []
     worst_sink = app.critical_path_cycles()
     best_case = worst_sink / f_max
@@ -464,14 +464,21 @@ def verify_design(
     if platform is not None:
         diags.extend(verify_platform(platform))
     if graph is not None and platform is not None:
+        # A cyclic process network has no steady-state rates and no
+        # critical path, so the rules built on them (RC120-RC122)
+        # stay silent; RC103 has already reported the cycle.
+        acyclic = application is None or application.is_acyclic()
         if mapping is not None:
             diags.extend(verify_mapping(graph, platform, mapping))
-            diags.extend(_utilization_diags(graph, platform, mapping))
-            diags.extend(_bandwidth_diags(graph, platform, mapping))
+            if acyclic:
+                diags.extend(_utilization_diags(graph, platform,
+                                                mapping))
+                diags.extend(_bandwidth_diags(graph, platform,
+                                              mapping))
         if task_graph is not None:
             diags.extend(_deadline_diags_taskgraph(task_graph,
                                                    platform))
-        if application is not None and qos is not None:
+        if application is not None and qos is not None and acyclic:
             diags.extend(_deadline_diags_application(
                 application, platform, qos))
     return diags

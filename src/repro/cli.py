@@ -245,7 +245,7 @@ def _cmd_run(args) -> int:
 
             # Collect leftovers from earlier experiments in this
             # process before the timed run, so that freeing them is
-            # not charged to this run (as in repro.parallel.engine).
+            # not charged to this run.
             gc.collect()
             before = kernel_counters().snapshot()
             start = perf_counter()

@@ -997,7 +997,7 @@ def _e16(ctx: RunContext):
 def _e17(ctx: RunContext):
     from repro.analysis import state_space_study
 
-    rows = state_space_study(max_stages=5, capacity=3)
+    rows = state_space_study(max_stages=5, capacity=3, seed=ctx.seed)
     explosion = ctx.table(
         ["pipeline_stages", "exact_states", "exact_seconds",
          "sim_seconds", "exact_throughput", "sim_throughput"],

@@ -38,7 +38,6 @@ and counter-merging contracts centralised here.
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import random
 import sys
@@ -182,10 +181,6 @@ def _run_replica(payload: tuple) -> ReplicaResult:
         plan = FaultPlan.from_env()
     if plan is not None:
         plan.apply(index, attempt)
-    # Collect any objects inherited from the parent (or a previous
-    # task in this process) *before* the timed run, so that freeing
-    # them is not charged to this replica.
-    gc.collect()
     counters = kernel_counters()
     counters.reset()
     start = time.perf_counter()

@@ -45,6 +45,7 @@ crashes and hangs still merges byte-identically to a fault-free run.
 from __future__ import annotations
 
 import base64
+import gc
 import json
 import os
 import pickle
@@ -641,7 +642,15 @@ def supervise(
                               child_conn, telemetry, stale_ends),
                         daemon=True,
                     )
-                    process.start()
+                    # Frozen objects sit in the permanent generation,
+                    # which a fork child's collector never walks: the
+                    # child neither pays for a pass over the parent's
+                    # heap nor dirties (copies) its pages doing so.
+                    gc.freeze()
+                    try:
+                        process.start()
+                    finally:
+                        gc.unfreeze()
                 except OSError as error:
                     spawn_failures += 1
                     if spawn_failures >= MAX_SPAWN_FAILURES:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
-from repro.analysis import CTMC, DTMC, birth_death_rates
+from repro.analysis import CTMC, DTMC, TandemQueueModel, birth_death_rates
+from repro.analysis.ctmc import SPARSE_STATES
 from repro.utils.rng import spawn_rng
 
 
@@ -183,3 +185,94 @@ class TestCTMC:
     def test_birth_death_length_mismatch(self):
         with pytest.raises(ValueError):
             birth_death_rates([1.0], [1.0, 2.0])
+
+
+def _relative_error(actual, reference) -> float:
+    return float(np.linalg.norm(actual - reference)
+                 / np.linalg.norm(reference))
+
+
+class TestSparseCTMC:
+    """Chains from :data:`SPARSE_STATES` states up store a CSR
+    generator; the dense LAPACK path is the reference."""
+
+    def test_from_rates_storage_switches_at_threshold(self):
+        small = CTMC.from_rates(
+            birth_death_rates([1.0] * (SPARSE_STATES - 2),
+                              [2.0] * (SPARSE_STATES - 2)),
+            n_states=SPARSE_STATES - 1)
+        large = CTMC.from_rates(
+            birth_death_rates([1.0] * (SPARSE_STATES - 1),
+                              [2.0] * (SPARSE_STATES - 1)),
+            n_states=SPARSE_STATES)
+        assert isinstance(small.Q, np.ndarray)
+        assert sparse.issparse(large.Q)
+        assert large.Q.diagonal()[0] == -1.0
+        assert large.Q.diagonal()[-1] == -2.0
+
+    @pytest.mark.parametrize("stages", [1, 2, 3, 4, 5])
+    def test_steady_state_matches_dense_on_tandem_chains(self, stages):
+        model = TandemQueueModel(8.0, [10.0] * stages, [4] * stages)
+        chain = CTMC.from_rates(model._rates(), model.n_states)
+        dense_Q = (chain.Q.toarray() if sparse.issparse(chain.Q)
+                   else chain.Q)
+        reference = CTMC(dense_Q).steady_state()
+        solved = CTMC(sparse.csr_array(dense_Q)).steady_state()
+        assert _relative_error(solved, reference) < 1e-12
+
+    def test_steady_state_matches_dense_on_birth_death_chain(self):
+        n = SPARSE_STATES + 100
+        chain = CTMC.from_rates(
+            birth_death_rates([8.0] * (n - 1), [10.0] * (n - 1)),
+            n_states=n)
+        assert sparse.issparse(chain.Q)
+        reference = CTMC(chain.Q.toarray()).steady_state()
+        assert _relative_error(chain.steady_state(), reference) < 1e-12
+
+    def test_singular_reduced_system_falls_back_to_dense(self):
+        # State 2 is transient: pinning its weight to 1 has no
+        # solution, so the sparse solve hands over to the dense one.
+        Q = np.array([[-1.0, 1.0, 0.0],
+                      [3.0, -3.0, 0.0],
+                      [2.0, 0.0, -2.0]])
+        solved = CTMC(sparse.csr_array(Q)).steady_state()
+        assert solved == pytest.approx([0.75, 0.25, 0.0])
+        assert np.array_equal(solved, CTMC(Q).steady_state())
+
+    @pytest.mark.parametrize("matrix, message", [
+        ([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]], "square"),
+        ([[1.0, -1.0], [2.0, -2.0]], "negative off-diagonal"),
+        ([[-1.0, 0.5], [1.0, -1.0]], "sum to 0"),
+    ])
+    def test_sparse_validation_matches_dense(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            CTMC(matrix)
+        with pytest.raises(ValueError, match=message):
+            CTMC(sparse.csr_array(np.array(matrix)))
+
+    @pytest.mark.parametrize("rates, message", [
+        ({(0, 1): 1.0, (3, 3): 1.0}, "self-transitions"),
+        ({(0, 1): 1.0, (1, 0): -1.0}, "negative rate"),
+    ])
+    def test_sparse_from_rates_validation_matches_dense(self, rates,
+                                                        message):
+        for n_states in (4, SPARSE_STATES):
+            with pytest.raises(ValueError, match=message):
+                CTMC.from_rates(rates, n_states=n_states)
+
+    def test_expected_value_and_transient_on_sparse_chain(self):
+        n = SPARSE_STATES
+        chain = CTMC.from_rates(
+            birth_death_rates([1.0] * (n - 1), [3.0] * (n - 1)),
+            n_states=n)
+        dense = CTMC(chain.Q.toarray())
+        values = np.arange(n, dtype=float)
+        assert chain.expected_value(values) == pytest.approx(
+            dense.expected_value(values), rel=1e-12)
+        start = np.zeros(n)
+        start[0] = 1.0
+        assert np.array_equal(chain.transient(start, t=0.0), start)
+        assert chain.transient(start, t=2.0) == pytest.approx(
+            dense.transient(start, t=2.0), rel=1e-12, abs=1e-15)
+        assert chain.transient(start, t=60.0, steps=2048) == \
+            pytest.approx(chain.steady_state(), abs=1e-9)

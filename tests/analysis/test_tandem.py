@@ -1,6 +1,9 @@
 """Tests for the tandem-queue exact model and its scaling study."""
 
+import tracemalloc
+
 import pytest
+import scipy.sparse.linalg  # noqa: F401 - imported outside the trace
 
 from repro.analysis import (
     MM1K,
@@ -45,6 +48,18 @@ class TestTandemQueueModel:
         assert choked.mean_occupancies[1] > \
             balanced.mean_occupancies[1]
         assert choked.loss_rate > balanced.loss_rate
+
+    def test_large_chain_is_solved_without_a_dense_generator(self):
+        """The 3,125-state chain of e17 has 16,125 non-zeros; a dense
+        generator alone would take 78 MB."""
+        tracemalloc.start()
+        try:
+            metrics = TandemQueueModel(8, [10] * 5, [4] * 5).solve()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert metrics.n_states == 3125
+        assert peak < 20e6
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -95,6 +110,15 @@ class TestStateSpaceStudy:
             assert row["sim_throughput"] == pytest.approx(
                 row["exact_throughput"], rel=0.08
             )
+
+    def test_seed_drives_the_simulation_only(self):
+        first = state_space_study(max_stages=2, capacity=3, seed=0)
+        second = state_space_study(max_stages=2, capacity=3, seed=1)
+        assert [row["sim_throughput"] for row in first] != \
+            [row["sim_throughput"] for row in second]
+        for a, b in zip(first, second):
+            assert (a["states"], a["exact_throughput"]) == \
+                (b["states"], b["exact_throughput"])
 
     def test_validation(self):
         with pytest.raises(ValueError):

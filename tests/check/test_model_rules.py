@@ -290,6 +290,26 @@ class TestFeasibilityRules:
                               mapping=full_mapping())
         assert "RC122" in rules_of(diags)
 
+    @pytest.mark.parametrize("qos", [None, QoSSpec(max_latency=1e-6)])
+    def test_cyclic_application_reports_rc103_without_raising(self, qos):
+        """The rate and critical-path rules have nothing to measure on
+        a cycle; the design check reports the cycle instead of
+        failing on it."""
+        app = ApplicationGraph("loop")
+        app.add_process(ProcessNode("s", 1e5, rate_hz=25.0))
+        app.add_process(ProcessNode("a", 1e9))
+        app.add_process(ProcessNode("b", 1e9))
+        app.add_channel(ChannelSpec("s", "a"))
+        app.add_channel(ChannelSpec("a", "b"))
+        app.add_channel(ChannelSpec("b", "a"))
+        diags = verify_design(
+            application=app, platform=two_pe_platform(bandwidth=1e3),
+            mapping=Mapping({"s": "cpu0", "a": "cpu0", "b": "cpu0"}),
+            qos=qos)
+        rules = rules_of(diags)
+        assert "RC103" in rules
+        assert not rules & {"RC120", "RC121", "RC122"}
+
     def test_rc122_negative_wide_bus(self):
         platform = two_pe_platform(bandwidth=1e9)
         diags = verify_design(application=pipeline_app(),

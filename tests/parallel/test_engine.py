@@ -1,12 +1,15 @@
 """The replication engine: seeds, the generic pool map, and the
 mergeable-result invariants of one replicated run."""
 
+import gc
 import math
 
 import pytest
 
 from repro.des import kernel_counters
 from repro.parallel import (
+    FaultPlan,
+    ReplicaFailedError,
     ReplicaResult,
     fork_seed,
     merge_replicas,
@@ -93,6 +96,18 @@ class TestRunReplicated:
         snap = counters.snapshot()
         assert snap["events_executed"] >= merged["events_executed"]
         assert snap["environments"] >= merged["environments"]
+
+    def test_parent_heap_is_unfrozen_after_a_sweep(self):
+        """Children fork from a frozen heap; the parent's own objects
+        go back to the collector whether the sweep returns or
+        raises."""
+        run_replicated("e14", replicas=2, workers=1)
+        assert gc.get_freeze_count() == 0
+        with pytest.raises(ReplicaFailedError):
+            run_replicated("e14", replicas=2, workers=1, retries=0,
+                           partial=False,
+                           fault_plan=FaultPlan().raise_(1))
+        assert gc.get_freeze_count() == 0
 
     def test_replica_reports_ride_along_in_raw(self):
         result = run_replicated("e14", replicas=2, workers=1)

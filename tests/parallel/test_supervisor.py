@@ -3,6 +3,7 @@ checkpoint journal, the supervisor loop's retry/timeout/degradation
 mechanics, and the :class:`ParallelItemError` contract of
 ``parallel_map``."""
 
+import gc
 import json
 import multiprocessing
 import os
@@ -230,6 +231,17 @@ class TestSupervise:
             _supervise([(0, 10)], "ok",
                        SupervisorPolicy(backoff_base=0.001), ctx=ctx)
         assert ctx.failures == 10_000 - 4
+
+    def test_heap_unfrozen_when_process_start_fails(self, monkeypatch):
+        def refuse(process):
+            raise OSError("fork: Resource temporarily unavailable")
+
+        monkeypatch.setattr(supervisor_module, "MAX_SPAWN_FAILURES", 1)
+        monkeypatch.setattr(multiprocessing.context.ForkProcess,
+                            "start", refuse)
+        with pytest.raises(OSError):
+            _supervise([(0, 10)], "ok", SupervisorPolicy())
+        assert gc.get_freeze_count() == 0
 
     def test_backoff_grows_and_caps(self, monkeypatch):
         monkeypatch.setattr(supervisor_module, "JITTER", 0.0)

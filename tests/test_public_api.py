@@ -66,6 +66,8 @@ print("scipy" in sys.modules)
 for name in {SUBPACKAGES!r}:
     __import__("repro." + name)
 print("scipy.stats" in sys.modules)
+experiments.run("f1")
+print("scipy.sparse" in sys.modules)
 """
 
 
@@ -84,8 +86,11 @@ def test_startup_imports_no_scipy_stats():
     """Start-up stays numpy-only: the registry path loads no scipy at
     all, and no ``repro`` package -- the CLI and everything perfbench
     preloads included -- loads ``scipy.stats`` (about 0.8 s of
-    imports).  Checked in a fresh interpreter."""
-    assert _fresh_interpreter(_STARTUP_PROBE) == ["False", "False"]
+    imports).  A run whose Markov chains are all small (f1) loads no
+    ``scipy.sparse`` either: only a chain of ``SPARSE_STATES`` states
+    or more imports it.  Checked in a fresh interpreter."""
+    assert _fresh_interpreter(_STARTUP_PROBE) == [
+        "False", "False", "False"]
 
 
 _RUN_PROBE = """
