@@ -6,9 +6,10 @@ Sweeps the fault rate for three of the reproduced experiments — the
 Fig.1(a) stream pipeline under channel outages, wireless streaming
 under packet/feedback loss, and the MANET video sessions under node
 crashes — and prints QoS-vs-fault-rate degradation curves with the
-resilience layer on (policies active) and off (seed behavior: crash or
-stall at the first fault).  The resilient curves must degrade
-gracefully (monotone, no cliff); the baselines collapse.
+resilience layer on (resilient channel, ARQ, route repair) and off
+(seed behavior: crash or stall at the first fault).  The resilient
+curves must degrade gracefully (monotone, no cliff); the baselines
+collapse.
 """
 
 from repro.resilience import format_report

@@ -4,10 +4,8 @@ and smart-space availability/energy studies."""
 from repro.ambient.faults import FaultProcess, availability_lower_bound
 from repro.ambient.smart_space import (
     EnergyStudyResult,
-    LiveRedundancyResult,
     RedundancyResult,
     SmartSpace,
-    live_redundancy_study,
     redundancy_study,
     user_aware_energy_study,
 )
@@ -26,8 +24,6 @@ __all__ = [
     "SmartSpace",
     "RedundancyResult",
     "redundancy_study",
-    "LiveRedundancyResult",
-    "live_redundancy_study",
     "EnergyStudyResult",
     "user_aware_energy_study",
 ]

@@ -22,7 +22,6 @@ from repro.ambient.faults import FaultProcess, availability_lower_bound
 from repro.ambient.users import UserBehaviorModel, default_home_user
 
 __all__ = ["SmartSpace", "RedundancyResult", "redundancy_study",
-           "LiveRedundancyResult", "live_redundancy_study",
            "EnergyStudyResult", "user_aware_energy_study"]
 
 
@@ -103,96 +102,6 @@ def redundancy_study(
             measured_availability=float(zone_up.mean()),
             analytical_availability=zone_availability ** space.n_zones,
             n_slots=n_slots,
-        ))
-    return results
-
-
-@dataclass
-class LiveRedundancyResult:
-    """Availability at one redundancy level, from live fault injection."""
-
-    nodes_per_zone: int
-    measured_availability: float
-    analytical_availability: float
-    horizon: float
-    n_faults: int
-
-
-def _union_length(intervals: list[tuple[float, float]]) -> float:
-    """Total length of the union of (possibly overlapping) intervals."""
-    if not intervals:
-        return 0.0
-    intervals = sorted(intervals)
-    total = 0.0
-    cur_start, cur_end = intervals[0]
-    for start, end in intervals[1:]:
-        if start > cur_end:
-            total += cur_end - cur_start
-            cur_start, cur_end = start, end
-        else:
-            cur_end = max(cur_end, end)
-    return total + (cur_end - cur_start)
-
-
-def live_redundancy_study(
-    space: SmartSpace | None = None,
-    redundancy_levels=(1, 2, 3),
-    horizon: float = 20_000.0,
-    seed: int = 0,
-) -> list[LiveRedundancyResult]:
-    """Service availability vs. redundancy, with *live* injected faults.
-
-    Same question as :func:`redundancy_study`, answered in-simulation:
-    every node carries a
-    :class:`~repro.resilience.faults.FaultInjector` inside one DES run
-    instead of a precomputed per-slot trace, and availability is the
-    continuous-time fraction of the horizon during which every zone had
-    at least one working node.  Agrees with the binomial closed form in
-    the long-horizon limit and stays bit-reproducible under ``seed``.
-    """
-    # Imported here: repro.resilience.harness imports this module.
-    from repro.des import Environment
-    from repro.resilience.faults import (
-        FailureModel,
-        FaultInjector,
-        all_down_intervals,
-    )
-
-    space = space or SmartSpace()
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    model = FailureModel(mtbf=space.faults.mtbf_slots,
-                         mttr=space.faults.mttr_slots)
-    per_node = space.faults.steady_availability()
-    results = []
-    for level in redundancy_levels:
-        env = Environment()
-        zones = [
-            [
-                FaultInjector(
-                    env, None, model, seed=seed,
-                    name=f"r{level}-zone{zone}-node{replica}",
-                )
-                for replica in range(level)
-            ]
-            for zone in range(space.n_zones)
-        ]
-        env.run(until=horizon)
-        outage_intervals: list[tuple[float, float]] = []
-        n_faults = 0
-        for zone in zones:
-            outage_intervals.extend(all_down_intervals(
-                [injector.windows for injector in zone], horizon
-            ))
-            n_faults += sum(injector.n_failures for injector in zone)
-        measured = 1.0 - _union_length(outage_intervals) / horizon
-        analytical = availability_lower_bound(per_node, level, 1)
-        results.append(LiveRedundancyResult(
-            nodes_per_zone=level,
-            measured_availability=measured,
-            analytical_availability=analytical ** space.n_zones,
-            horizon=horizon,
-            n_faults=n_faults,
         ))
     return results
 

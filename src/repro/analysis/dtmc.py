@@ -103,23 +103,6 @@ class DTMC:
             closure = closure | (closure @ reach)
         return bool(closure.all())
 
-    def expected_hitting_times(self, target: int) -> np.ndarray:
-        """Expected steps to first reach state ``target`` from each state.
-
-        ``h[target] = 0``; solves the standard first-passage system.
-        """
-        if not 0 <= target < self.n:
-            raise ValueError("target out of range")
-        others = [i for i in range(self.n) if i != target]
-        Q = self.P[np.ix_(others, others)]
-        h_others = np.linalg.solve(
-            np.eye(len(others)) - Q, np.ones(len(others))
-        )
-        h = np.zeros(self.n)
-        for value, i in zip(h_others, others):
-            h[i] = value
-        return h
-
     def simulate(self, n_steps: int,
                  rng: np.random.Generator | None = None,
                  start: int = 0, *, seed: int | None = None

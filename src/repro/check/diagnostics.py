@@ -386,19 +386,16 @@ RULES: Mapping[str, Rule] = _catalog([
         "snapshot merging, and the deterministic completion-order-"
         "independent merge all live in repro.parallel; a bare pool "
         "silently loses cross-process counters and reproducibility.",
-        "Fan work out with repro.parallel.parallel_map or "
-        "run_replicated instead of importing multiprocessing / "
-        "concurrent.futures directly.",
+        "Fan work out with repro.parallel.run_replicated instead of "
+        "importing multiprocessing / concurrent.futures directly.",
     ),
     Rule(
         "SL207", "silently swallowed exception",
         Severity.WARNING,
-        "An `except Exception: pass` (or a swallowed PolicyError "
-        "subclass) masks the very faults the resilience and "
-        "supervision layers exist to surface: a fault injected by the "
-        "chaos harness, or a real timeout/retry-budget/circuit "
-        "failure, vanishes without a trace and the sweep reports "
-        "healthy results it never computed.",
+        "An `except Exception: pass` masks the very faults the "
+        "supervision layer exists to surface: a fault injected by the "
+        "chaos harness, or a real failure, vanishes without a trace "
+        "and the sweep reports healthy results it never computed.",
         "Catch the narrowest exception you can actually recover "
         "from, and handle it visibly: record a metric, return a "
         "degraded result, or re-raise.",

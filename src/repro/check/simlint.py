@@ -23,11 +23,10 @@ Rules (catalog in :mod:`repro.check.diagnostics`):
   outside :mod:`repro.parallel`, the one sanctioned home for process
   pools (ad-hoc pools bypass seed derivation and counter merging).
 * ``SL207`` — a silently swallowed exception: an ``except`` catching
-  ``Exception``/``BaseException`` (or nothing at all), or any
-  :class:`~repro.resilience.PolicyError` subclass, whose body only
+  ``Exception``/``BaseException`` (or nothing at all) whose body only
   ``pass``/``...``/``continue``-s.  Silent fault-masking defeats the
-  resilience layer — injected chaos faults and real policy failures
-  alike disappear without a trace.
+  supervision layer — injected chaos faults and real failures alike
+  disappear without a trace.
 
 The layer has no driver of its own: :func:`repro.check.check_source`
 and :func:`repro.check.check_repository` run :func:`lint_tree` and the
@@ -88,13 +87,6 @@ _PARALLEL_EXEMPT_FRAGMENT = "repro/parallel"
 
 #: Exception names that are too broad to swallow silently (SL207).
 _BROAD_EXCEPTIONS = {"Exception", "BaseException"}
-
-#: The resilience layer's policy-failure types (SL207): swallowing one
-#: hides exactly the fault signal the layer exists to propagate.
-_POLICY_ERRORS = {
-    "PolicyError", "DeadlineExceeded", "RetryBudgetExceeded",
-    "CircuitOpen",
-}
 
 
 def _event_method(call: ast.Call) -> str | None:
@@ -164,7 +156,7 @@ def _mentions_simulated_time(node: ast.expr) -> bool:
 def _handler_type_names(node: ast.expr | None) -> set[str]:
     """Terminal names an ``except`` clause catches.
 
-    ``except resilience.PolicyError`` yields ``{"PolicyError"}``;
+    ``except builtins.Exception`` yields ``{"Exception"}``;
     tuples contribute every member; a bare ``except`` yields the
     empty set (the caller treats ``None`` as catch-everything).
     """
@@ -348,16 +340,14 @@ class _Linter(ast.NodeVisitor):
             names = _handler_type_names(handler.type)
             broad = (handler.type is None
                      or bool(names & _BROAD_EXCEPTIONS))
-            policy = bool(names & _POLICY_ERRORS)
-            if (broad or policy) and _body_swallows(handler.body):
+            if broad and _body_swallows(handler.body):
                 caught = ("everything" if handler.type is None
                           else ", ".join(sorted(names)))
                 self._emit(
                     "SL207",
                     f"except block catches {caught} and silently "
                     f"swallows it — faults (including injected chaos "
-                    f"faults and resilience-policy failures) vanish "
-                    f"without a trace",
+                    f"faults) vanish without a trace",
                     handler,
                 )
         self.generic_visit(node)

@@ -36,73 +36,15 @@ import json
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable
 
 from repro import experiments
 from repro.obs.report import sanitize_json
 from repro.utils import Table
 
-__all__ = ["main", "EXPERIMENTS"]
+__all__ = ["main"]
 
 #: Rows in the hotspot and process tables of ``run --profile``.
 PROFILE_TOP = 15
-
-
-class _LazyExperiments(dict):
-    """Compatibility view of the registry: id → (claim, runner).
-
-    The historical ``EXPERIMENTS`` dict mapped ids to zero-argument
-    printing functions; this keeps that shape alive on top of the
-    registry for existing callers.
-    """
-
-    def _ensure(self) -> None:
-        if not dict.__len__(self):
-            for exp_id in experiments.ids():
-                claim = experiments.get(exp_id).claim
-                dict.__setitem__(
-                    self, exp_id,
-                    (claim, _print_runner(exp_id)),
-                )
-
-    def __getitem__(self, key):
-        self._ensure()
-        return dict.__getitem__(self, key)
-
-    def __contains__(self, key) -> bool:
-        self._ensure()
-        return dict.__contains__(self, key)
-
-    def __iter__(self):
-        self._ensure()
-        return dict.__iter__(self)
-
-    def __len__(self) -> int:
-        self._ensure()
-        return dict.__len__(self)
-
-    def keys(self):
-        self._ensure()
-        return dict.keys(self)
-
-    def items(self):
-        self._ensure()
-        return dict.items(self)
-
-    def values(self):
-        self._ensure()
-        return dict.values(self)
-
-
-def _print_runner(exp_id: str) -> Callable[[], None]:
-    def runner() -> None:
-        experiments.run(exp_id).show()
-
-    return runner
-
-
-#: Experiment registry view: id → (description, runner).
-EXPERIMENTS = _LazyExperiments()
 
 
 def _resolve_ids(requested: list[str]) -> list[str] | None:

@@ -323,8 +323,9 @@ class AnalyticalEvaluator:
     Each PE is approximated as an M/M/1 server whose load aggregates all
     processes mapped to it; channel buffers are approximated as M/M/1/K
     loss systems.  The estimates are coarse by design — their value is
-    being orders of magnitude faster than simulation (experiment E10
-    quantifies both the error and the speed advantage).
+    being orders of magnitude faster than simulation.  (Experiment E10
+    measures that trade-off on the M/M/1/K queue and the Fig.1(a)
+    stream model, not on this evaluator.)
     """
 
     def __init__(self, app: ApplicationGraph, platform: Platform,

@@ -21,11 +21,7 @@ from repro.core.evaluation import (
     EvaluationResult,
     SimulationEvaluator,
 )
-from repro.core.exploration import (
-    DesignPoint,
-    MappingExplorer,
-    random_mappings,
-)
+from repro.core.exploration import random_mappings
 from repro.core.mapping import Mapping
 from repro.core.qos import QoSSpec, QoSViolation
 

@@ -74,8 +74,8 @@ class Request(Event):
     def cancel(self) -> None:
         """Withdraw the claim — waiting or granted — from the resource.
 
-        Alias of :meth:`Resource.release` so that interrupt/timeout
-        policies can abandon any waiter event uniformly.
+        Alias of :meth:`Resource.release`, so that an interrupted
+        process abandons a request the way it abandons a store get.
         """
         self.resource.release(self)
 
@@ -101,9 +101,6 @@ class Resource:
         self.name = name
         self.users: list[Request] = []
         self.queue: list[Request] = []
-        #: While True no new grants are made (current holders finish);
-        #: fault injectors toggle this via :meth:`set_out_of_service`.
-        self.out_of_service = False
         # Metric handles, resolved once; anonymous resources share the
         # label "resource" (their wait times aggregate).
         registry = metrics if metrics is not None \
@@ -148,13 +145,6 @@ class Resource:
         else:
             self.release(request)  # withdrawing a waiter grants nothing
 
-    def set_out_of_service(self, flag: bool) -> None:
-        """Stop (or resume) granting the resource; resuming grants to
-        any requests that queued up during the outage."""
-        self.out_of_service = bool(flag)
-        if not self.out_of_service:
-            self._grant_next()
-
     def _enqueue(self, request: Request) -> None:
         self.queue.append(request)
         self._grant_next()
@@ -167,8 +157,6 @@ class Resource:
         self._m_queue.set(pending, now)
 
     def _grant_next(self) -> None:
-        if self.out_of_service:
-            return
         queue = self.queue
         users = self.users
         while queue and len(users) < self.capacity:
@@ -226,8 +214,6 @@ class PriorityResource(Resource):
         self._grant_next()
 
     def _grant_next(self) -> None:
-        if self.out_of_service:
-            return
         while self._heap and len(self.users) < self.capacity:
             _, _, request = heapq.heappop(self._heap)
             self.users.append(request)

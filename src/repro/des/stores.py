@@ -41,9 +41,8 @@ class StorePut(Event):
         """Withdraw a still-pending put (no-op once triggered).
 
         A process abandoning a blocked put — after an
-        :class:`~repro.des.events.Interrupt` or a policy timeout — must
-        cancel it, or the store would later accept an item nobody is
-        accounting for.
+        :class:`~repro.des.events.Interrupt`, say — must cancel it, or
+        the store would later accept an item nobody is accounting for.
         """
         if not self.triggered:
             try:
@@ -129,10 +128,6 @@ class Store:
         self.items: list[Any] = []
         self._put_waiters: list[StorePut] = []
         self._get_waiters: list[StoreGet] = []
-        #: While True the store matches no puts/gets — waiters queue up
-        #: (or, for :meth:`FiniteQueue.offer`, arrivals drop).  Fault
-        #: injectors toggle this via :meth:`set_out_of_service`.
-        self.out_of_service = False
         #: Time-weighted occupancy, usable after the run for the average
         #: buffer length the paper calls "very important ... utilization
         #: over time".
@@ -169,17 +164,7 @@ class Store:
         if self._m_level is not None:
             self._m_level.set(len(self.items), self.env.now)
 
-    def set_out_of_service(self, flag: bool) -> None:
-        """Disable (or re-enable) the store; re-enabling matches any
-        waiters that queued up during the outage."""
-        self.out_of_service = bool(flag)
-        if not self.out_of_service:
-            self._dispatch()
-
     def _dispatch(self) -> None:
-        if self.out_of_service:
-            self._record_level()
-            return
         progressed = True
         while progressed:
             progressed = False
@@ -236,11 +221,6 @@ class FiniteQueue(Store):
         self.n_offered += 1
         if self._m_offers is not None:
             self._m_offers.inc()
-        if self.out_of_service:
-            self.n_dropped += 1
-            if self._m_drops is not None:
-                self._m_drops.inc()
-            return False
         if len(self.items) >= self.capacity and not self._get_waiters:
             self.n_dropped += 1
             if self._m_drops is not None:

@@ -132,15 +132,10 @@ def _coerce_scenario(item: Any):
     )
 
 
-def _effective_scenario_hook(experiment: Experiment):
-    """The experiment's document provider (``None`` without a hook)."""
-    return experiment.scenario
-
-
 def scenarios_of(exp_id: str) -> list:
     """The experiment's declared design points, as loaded
     ``Scenario`` objects (empty for experiments without a hook)."""
-    hook = _effective_scenario_hook(get(exp_id))
+    hook = get(exp_id).scenario
     if hook is None:
         return []
     result = hook()
@@ -210,13 +205,18 @@ def preflight(exp_id: str) -> list:
     (``experiment:e3/<name>#$.scenario.task_graph.nodes[2]``).
     Experiments without a hook verify vacuously (empty list).
     """
+    return _verify(get(exp_id).id, scenarios_of(exp_id))
+
+
+def _verify(exp_id: str, scenarios: list) -> list:
+    """Verify ``scenarios`` and prefix every diagnostic subject with
+    ``experiment:<exp_id>/``."""
     from repro import scenario as scn
 
-    experiment = get(exp_id)
     diagnostics = []
-    for scenario in scenarios_of(exp_id):
+    for scenario in scenarios:
         for diag in scn.verify(scenario):
-            diag.subject = f"experiment:{experiment.id}/{diag.subject}"
+            diag.subject = f"experiment:{exp_id}/{diag.subject}"
             diagnostics.append(diag)
     return diagnostics
 
@@ -280,18 +280,11 @@ def run(
     loaded_scenario = (None if scenario is None
                        else _coerce_scenario(scenario))
     if verify and (loaded_scenario is not None
-                   or _effective_scenario_hook(experiment)
-                   is not None):
+                   or experiment.scenario is not None):
         from repro.check import ModelVerificationError, has_errors
 
         if loaded_scenario is not None:
-            from repro import scenario as scn
-
-            diagnostics = []
-            for diag in scn.verify(loaded_scenario):
-                diag.subject = (f"experiment:{experiment.id}/"
-                                f"{diag.subject}")
-                diagnostics.append(diag)
+            diagnostics = _verify(experiment.id, [loaded_scenario])
         else:
             diagnostics = preflight(exp_id)
         if has_errors(diagnostics):

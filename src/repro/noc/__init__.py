@@ -27,7 +27,6 @@ from repro.noc.mapping import (
     branch_and_bound_mapping,
     greedy_mapping,
     random_noc_mapping,
-    parallel_annealing_mapping,
     simulated_annealing_mapping,
 )
 from repro.noc.network import NocNetwork, NocNetworkStats, NocPacket
@@ -66,7 +65,6 @@ __all__ = [
     "random_noc_mapping",
     "greedy_mapping",
     "simulated_annealing_mapping",
-    "parallel_annealing_mapping",
     "branch_and_bound_mapping",
     "ScheduleResult",
     "ScheduledTask",

@@ -37,7 +37,6 @@ __all__ = [
     "random_noc_mapping",
     "greedy_mapping",
     "simulated_annealing_mapping",
-    "parallel_annealing_mapping",
     "branch_and_bound_mapping",
 ]
 
@@ -405,63 +404,6 @@ def simulated_annealing_mapping(
         for slot, task in enumerate(best_slots) if task >= 0
     }
     return NocMapping(mesh, placement)
-
-
-def _sa_start(payload: tuple) -> tuple:
-    """One independent annealing start (process-pool worker body)."""
-    (tg, mesh, energy, seed, n_iterations, initial_temperature,
-     cooling, compatibility) = payload
-    energy = energy or NocEnergyModel()
-    mapping = simulated_annealing_mapping(
-        tg, mesh, energy=energy, seed=seed,
-        n_iterations=n_iterations,
-        initial_temperature=initial_temperature, cooling=cooling,
-        compatibility=compatibility,
-    )
-    return mapping.communication_energy(tg, energy), mapping
-
-
-def parallel_annealing_mapping(
-    tg: TaskGraph,
-    mesh: Mesh2D,
-    energy: NocEnergyModel | None = None,
-    seed: int = 0,
-    n_starts: int = 4,
-    workers: int | None = None,
-    n_iterations: int = 20_000,
-    initial_temperature: float | None = None,
-    cooling: float = 0.999,
-    compatibility: TileCompatibility | None = None,
-) -> NocMapping:
-    """Best-of-``n_starts`` simulated annealing, starts run in parallel.
-
-    Annealing quality is start-dependent; independent restarts are
-    embarrassingly parallel.  Start *i* anneals with the forked seed
-    ``fork_seed(seed, f"sa-start/{i}")``
-    (:func:`repro.parallel.fork_seed`), so the start seeds are a pure
-    function of ``(seed, i)`` — the winning mapping is identical for
-    any ``workers`` value, including 1 (which runs the starts inline).
-    Ties on energy break toward the lowest start index.
-
-    ``n_starts=1`` with ``workers=1`` degenerates to a single
-    :func:`simulated_annealing_mapping` run with a *forked* seed (not
-    ``seed`` itself — the start-seed derivation is uniform).
-    """
-    from repro.parallel import fork_seed, parallel_map
-
-    if n_starts < 1:
-        raise ValueError(f"n_starts must be >= 1, got {n_starts}")
-    payloads = [
-        (tg, mesh, energy, fork_seed(seed, f"sa-start/{i}"),
-         n_iterations, initial_temperature, cooling, compatibility)
-        for i in range(n_starts)
-    ]
-    outcomes = parallel_map(_sa_start, payloads, workers=workers)
-    best_cost, best_mapping = outcomes[0]
-    for cost, mapping in outcomes[1:]:
-        if cost < best_cost:
-            best_cost, best_mapping = cost, mapping
-    return best_mapping
 
 
 def branch_and_bound_mapping(

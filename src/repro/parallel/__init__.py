@@ -19,7 +19,6 @@ the contracts and ``docs/parallel.md`` for the design discussion.
 
 from repro.parallel.engine import (
     fork_seed,
-    parallel_map,
     replica_seed,
     run_replicated,
 )
@@ -36,7 +35,6 @@ from repro.parallel.supervisor import (
     FaultPlan,
     InjectedFault,
     JournalMismatchError,
-    ParallelItemError,
     ReplicaFailedError,
     ReplicaFailure,
     SupervisorPolicy,
@@ -46,7 +44,6 @@ from repro.parallel.supervisor import (
 __all__ = [
     "fork_seed",
     "replica_seed",
-    "parallel_map",
     "run_replicated",
     "ReplicaResult",
     "merge_replicas",
@@ -56,7 +53,6 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "JournalMismatchError",
-    "ParallelItemError",
     "ReplicaFailedError",
     "ReplicaFailure",
     "SupervisorPolicy",

@@ -26,10 +26,6 @@ checkpoint journal an interrupted sweep can ``resume=`` from, and —
 because a retried replica reruns the *same* derived seed — keeps the
 byte-identical merge contract intact through all of it.
 
-:func:`parallel_map` is the generic all-or-nothing primitive on the
-same supervisor (no retries), used by the SA mapper's multi-start
-mode (:func:`repro.noc.parallel_annealing_mapping`).
-
 This module is the **only** sanctioned home for ``multiprocessing``
 in the repository: the SL206 lint rule flags process fan-out
 anywhere else, because ad-hoc pools silently break the seed-derivation
@@ -43,7 +39,7 @@ import random
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable
 
 from repro import experiments
 from repro.des import kernel_counters
@@ -54,18 +50,13 @@ from repro.parallel.merge import ReplicaResult, merge_replicas
 from repro.parallel.supervisor import (
     CheckpointJournal,
     FaultPlan,
-    ParallelItemError,
     ReplicaFailedError,
     SupervisorPolicy,
     supervise,
 )
 from repro.utils.rng import RandomStreams
 
-__all__ = ["fork_seed", "replica_seed", "parallel_map",
-           "run_replicated"]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
+__all__ = ["fork_seed", "replica_seed", "run_replicated"]
 
 
 def fork_seed(master_seed: int, name: str) -> int:
@@ -94,76 +85,6 @@ def _context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context("fork")
     except ValueError:  # the platform has no fork
         return multiprocessing.get_context("spawn")
-
-
-def _call_captured(payload: tuple) -> tuple:
-    """One :func:`parallel_map` item as ``(index, result, error)``; the
-    error is a value so its type survives the trip from a worker."""
-    fn, index, item = payload
-    try:
-        return index, fn(item), None
-    except Exception as exc:
-        return index, None, exc
-
-
-def parallel_map(
-    fn: Callable[[_T], _R],
-    items: Iterable[_T],
-    *,
-    workers: int | None = None,
-) -> list[_R]:
-    """Map ``fn`` over ``items`` on worker processes, in input order.
-
-    ``workers=None`` uses ``os.cpu_count()``, capped at the number of
-    items.  Each item runs in a fresh process under
-    :func:`~repro.parallel.supervisor.supervise` (``fork`` where the
-    platform offers it, else ``spawn``).  ``workers<=1`` maps inline
-    in this process — only safe for *pure* functions; anything
-    touching process-global state (like experiment replicas, which
-    reset kernel counters) must go through :func:`run_replicated`.
-
-    **All-or-nothing:** the first item whose ``fn`` raises aborts the
-    map with a :class:`~repro.parallel.supervisor.ParallelItemError`
-    naming the input ``index`` and ``item``, with the exception as
-    ``original`` (and ``__cause__``); a worker that dies without a
-    result gives a :class:`~repro.parallel.supervisor.
-    ReplicaFailedError` as ``original``.  In-flight siblings are
-    terminated; nothing is retried.  Work that must survive
-    individual failures belongs in :func:`run_replicated`, whose
-    supervisor retries per replica.
-    """
-    items = list(items)
-    if not items:
-        return []
-    if workers is None:
-        workers = multiprocessing.cpu_count()
-    workers = max(1, min(int(workers), len(items)))
-
-    def unwrap(outcome: tuple) -> Any:
-        index, result, error = outcome
-        if error is not None:
-            raise ParallelItemError(index, items[index], error) from error
-        return result
-
-    if workers <= 1:
-        return [unwrap(_call_captured((fn, i, item)))
-                for i, item in enumerate(items)]
-    try:
-        outcomes, _ = supervise(
-            [(index, 0) for index in range(len(items))],
-            worker=_call_captured,
-            make_payload=lambda index, _seed, _attempt: (
-                fn, index, items[index]),
-            ctx=_context(),
-            workers=workers,
-            policy=SupervisorPolicy(retries=0),
-            rng=random.Random(0),
-            on_result=unwrap,
-        )
-    except ReplicaFailedError as error:
-        raise ParallelItemError(
-            error.index, items[error.index], error) from error
-    return [unwrap(outcomes[index]) for index in range(len(items))]
 
 
 def _run_replica(payload: tuple) -> ReplicaResult:

@@ -190,21 +190,6 @@ class SweepView:
             parts.append(f"{rate / 1000:.1f}k ev/s")
         return ", ".join(parts)
 
-    def render_lines(self) -> list[str]:
-        """Full per-replica state block (tests and rich consumers)."""
-        lines = [f"sweep: {self.status_line()}"]
-        for index in sorted(self.replicas):
-            view = self.replicas[index]
-            detail = ""
-            if view.state == "running" and view.sim_now is not None:
-                detail = (f" sim_t={view.sim_now:.2f} "
-                          f"{view.events_per_sec / 1000:.1f}k ev/s")
-            elif view.error:
-                detail = f" ({view.error})"
-            lines.append(f"  r{index} [{view.state}]"
-                         f" attempt={view.attempt}{detail}")
-        return lines
-
     # -- rendering -----------------------------------------------------
     def _render(self, kind: str, view: ReplicaView) -> None:
         now = time.perf_counter()

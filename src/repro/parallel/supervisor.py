@@ -1,8 +1,8 @@
 """Fault-tolerant supervision of worker processes.
 
-:mod:`repro.parallel.engine` fans replicas (and ``parallel_map`` items)
-onto worker processes; this module is the layer that keeps a sweep
-alive when those processes misbehave.  The supervisor owns one
+:mod:`repro.parallel.engine` fans replicas onto worker processes;
+this module is the layer that keeps a sweep alive when those
+processes misbehave.  The supervisor owns one
 :class:`multiprocessing.Process` per task *attempt* (a fresh process
 every time, so no task observes state left behind by another) and a
 result pipe per process, and multiplexes them through
@@ -52,7 +52,7 @@ import pickle
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as _mp_connection
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -64,7 +64,6 @@ __all__ = [
     "FAULT_PLAN_ENV",
     "FaultPlan",
     "InjectedFault",
-    "ParallelItemError",
     "ReplicaFailure",
     "ReplicaFailedError",
     "JournalMismatchError",
@@ -97,31 +96,6 @@ TERM_GRACE = 2.0
 # ----------------------------------------------------------------------
 class InjectedFault(RuntimeError):
     """Raised inside a worker by a ``raise`` fault of a :class:`FaultPlan`."""
-
-
-class ParallelItemError(RuntimeError):
-    """One item of a :func:`repro.parallel.parallel_map` call failed.
-
-    Wraps the worker exception so the parent knows *which* item broke:
-    ``index`` is the position in the input iterable, ``item`` the input
-    value itself, and ``original`` the exception the mapped function
-    raised, or the :class:`ReplicaFailedError` of a worker that died
-    without a result.
-    """
-
-    def __init__(self, index: int, item: Any, original: BaseException):
-        super().__init__(
-            f"parallel_map item {index} ({item!r}) failed: "
-            f"{type(original).__name__}: {original}"
-        )
-        self.index = index
-        self.item = item
-        self.original = original
-
-    def __reduce__(self):
-        # Default exception pickling replays __init__ with the str
-        # message only; preserve the structured fields across processes.
-        return (type(self), (self.index, self.item, self.original))
 
 
 @dataclass(frozen=True)

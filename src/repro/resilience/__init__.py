@@ -1,41 +1,28 @@
-"""In-simulation fault injection and resilience policies (§5).
+"""In-simulation fault injection and graceful-degradation sweeps (§5).
 
 The paper's ambient-multimedia thesis is that distributed multimedia
 systems must "operate with limited resources and failing parts".  This
 package makes failure a first-class *simulation event* rather than an
 offline trace:
 
-* :mod:`repro.resilience.faults` — :class:`FaultInjector` processes
-  that break and repair live model components (DES resources and
-  stores, stream channels, platform PEs and links, running processes)
-  on sampled fail/repair schedules;
-* :mod:`repro.resilience.policies` — process combinators
-  (:func:`retry_with_backoff`, :func:`with_timeout`,
-  :class:`Watchdog`, :class:`CircuitBreaker`) that let model code
-  survive those faults gracefully;
+* :mod:`repro.resilience.faults` — the :class:`FailureModel`
+  fail/repair law, the :class:`FaultInjector` process that breaks and
+  repairs a live stream channel on a sampled schedule, and the
+  session-indexed fault plan of the MANET lifetime study;
 * :mod:`repro.resilience.harness` — QoS-vs-fault-rate sweeps over the
   existing experiments, quantifying *graceful degradation* (the paper's
   redundancy/adaptation claim) against crash-or-stall baselines.
 """
 
 from repro.resilience.faults import (
-    BreakableLink,
-    BreakablePE,
-    BreakableResource,
-    BreakableStore,
-    CallbackBreakable,
     FailureModel,
     FaultEvent,
     FaultInjector,
-    ProcessKill,
-    all_down_intervals,
-    any_up_fraction,
     session_fault_plan,
 )
 from repro.resilience.harness import (
     DegradationCurve,
     QosPoint,
-    ambient_qos,
     arq_streaming_qos,
     fault_rate_sweep,
     format_report,
@@ -43,42 +30,13 @@ from repro.resilience.harness import (
     resilience_report,
     stream_pipeline_qos,
 )
-from repro.resilience.policies import (
-    CircuitBreaker,
-    CircuitOpen,
-    DeadlineExceeded,
-    PolicyError,
-    RetryBudgetExceeded,
-    Watchdog,
-    WatchdogTimeout,
-    retry_with_backoff,
-    with_timeout,
-)
 
 __all__ = [
     # faults
     "FailureModel",
     "FaultEvent",
     "FaultInjector",
-    "ProcessKill",
-    "BreakableResource",
-    "BreakableStore",
-    "BreakablePE",
-    "BreakableLink",
-    "CallbackBreakable",
     "session_fault_plan",
-    "all_down_intervals",
-    "any_up_fraction",
-    # policies
-    "PolicyError",
-    "DeadlineExceeded",
-    "RetryBudgetExceeded",
-    "CircuitOpen",
-    "WatchdogTimeout",
-    "with_timeout",
-    "retry_with_backoff",
-    "Watchdog",
-    "CircuitBreaker",
     # harness
     "QosPoint",
     "DegradationCurve",
@@ -86,7 +44,6 @@ __all__ = [
     "stream_pipeline_qos",
     "arq_streaming_qos",
     "manet_qos",
-    "ambient_qos",
     "resilience_report",
     "format_report",
 ]

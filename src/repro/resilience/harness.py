@@ -5,13 +5,13 @@ distributed multimedia system loses quality smoothly as parts fail,
 instead of falling off a cliff (crashing, stalling, or collapsing to
 zero service).  This harness makes that claim measurable.  Each
 ``*_qos`` scenario runs one existing experiment — the Fig.1(a) stream
-pipeline, the E8 FGS streaming session, the E9 MANET lifetime study,
-the §5 ambient smart space — under injected faults at a given rate,
-twice: once with the resilience mechanisms on (interrupt-aware
-channels, ARQ with backoff, route repair, redundancy) and once with
-the non-resilient baseline.  :func:`fault_rate_sweep` turns a scenario
-into a :class:`DegradationCurve`, whose :meth:`~DegradationCurve.
-is_graceful` check encodes "monotone-ish and cliff-free".
+pipeline, the E8 FGS streaming session, the E9 MANET lifetime
+study — under injected faults at a given rate, twice: once with the
+resilience mechanisms on (interrupt-aware channels, ARQ with backoff,
+route repair) and once with the non-resilient baseline.
+:func:`fault_rate_sweep` turns a scenario into a
+:class:`DegradationCurve`, whose :meth:`~DegradationCurve.is_graceful`
+check encodes "monotone-ish and cliff-free".
 
 Every scenario is seeded end to end, so sweeps are bit-reproducible.
 """
@@ -30,7 +30,6 @@ __all__ = [
     "stream_pipeline_qos",
     "arq_streaming_qos",
     "manet_qos",
-    "ambient_qos",
     "resilience_report",
     "format_report",
 ]
@@ -113,7 +112,6 @@ def fault_rate_sweep(
 def stream_pipeline_qos(
     fault_rate: float,
     resilient: bool = True,
-    failover: bool = False,
     horizon: float = 20.0,
     mttr: float = 0.5,
     seed: int = 0,
@@ -124,16 +122,9 @@ def stream_pipeline_qos(
     QoS is displayed frames over the fault-free expectation.  The
     baseline channel crashes at the first fault (the report records the
     crash); the resilient channel rides outages out, shedding buffered
-    B-frames on recovery; ``failover`` adds a half-bandwidth backup
-    path.
+    B-frames on recovery.
     """
-    from repro.streams import (
-        Channel,
-        FailoverChannel,
-        MpegSource,
-        Sink,
-        StreamPipeline,
-    )
+    from repro.streams import Channel, MpegSource, Sink, StreamPipeline
 
     from repro.resilience.faults import FailureModel
 
@@ -143,10 +134,6 @@ def stream_pipeline_qos(
         bandwidth=4e6, seed=seed,
         resilient=resilient, shed_enhancement=resilient,
     )
-    if failover:
-        backup = Channel(bandwidth=2e6, seed=seed + 1, name="backup",
-                         resilient=True)
-        channel = FailoverChannel(primary=channel, backup=backup)
     pipeline = StreamPipeline(
         source=source,
         channel=channel,
@@ -266,44 +253,6 @@ def manet_qos(
                     })
 
 
-def ambient_qos(
-    fault_rate: float,
-    resilient: bool = True,
-    n_zones: int = 4,
-    horizon: float = 5_000.0,
-    mttr_slots: float = 100.0,
-    seed: int = 0,
-) -> QosPoint:
-    """§5 smart space with live injected node faults at ``fault_rate``
-    per slot.
-
-    QoS is measured service availability (all zones covered).
-    Resilience here is redundancy: two nodes per zone against the
-    baseline's one.
-    """
-    from repro.ambient import FaultProcess, SmartSpace
-    from repro.ambient.smart_space import live_redundancy_study
-
-    if fault_rate <= 0:
-        raise ValueError("ambient scenario needs a positive fault rate")
-    space = SmartSpace(
-        n_zones=n_zones,
-        nodes_per_zone=1,
-        faults=FaultProcess(mtbf_slots=1.0 / fault_rate,
-                            mttr_slots=mttr_slots),
-    )
-    level = 2 if resilient else 1
-    (result,) = live_redundancy_study(
-        space, redundancy_levels=(level,), horizon=horizon, seed=seed
-    )
-    return QosPoint(fault_rate=fault_rate,
-                    qos=result.measured_availability, detail={
-                        "analytical": result.analytical_availability,
-                        "n_faults": result.n_faults,
-                        "nodes_per_zone": level,
-                    })
-
-
 # ----------------------------------------------------------------------
 # The headline report
 # ----------------------------------------------------------------------
@@ -312,14 +261,12 @@ _SCENARIOS: dict[str, Callable[..., QosPoint]] = {
     "stream": stream_pipeline_qos,
     "arq-streaming": arq_streaming_qos,
     "manet": manet_qos,
-    "ambient": ambient_qos,
 }
 
 _DEFAULT_RATES: dict[str, tuple[float, ...]] = {
     "stream": (0.0, 0.05, 0.1, 0.2, 0.4),
     "arq-streaming": (0.0, 0.05, 0.1, 0.2, 0.4),
     "manet": (0.0, 0.001, 0.002, 0.005, 0.01),
-    "ambient": (0.0005, 0.001, 0.002, 0.005),
 }
 
 

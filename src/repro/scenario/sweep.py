@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.scenario.codec import Scenario, load
+from repro.scenario.codec import Scenario
 
 __all__ = ["evaluate_scenario", "sweep", "SweepEntry", "SweepReport"]
 

@@ -10,7 +10,6 @@ from repro.streams.channel import (
     Channel,
     ChannelStats,
     ErrorModel,
-    FailoverChannel,
     GilbertElliottModel,
     LosslessModel,
     PacketFate,
@@ -60,7 +59,6 @@ __all__ = [
     "PacketFate",
     "Channel",
     "ChannelStats",
-    "FailoverChannel",
     "Sink",
     "StreamPipeline",
     "StreamReport",

@@ -35,7 +35,6 @@ __all__ = [
     "GilbertElliottModel",
     "Channel",
     "ChannelStats",
-    "FailoverChannel",
 ]
 
 
@@ -285,7 +284,7 @@ class Channel:
         return packet.size_bits / self.bandwidth
 
     # ------------------------------------------------------------------
-    # Fault-injection surface (a Channel is a breakable)
+    # Fault-injection surface (a FaultInjector target)
     # ------------------------------------------------------------------
     def fail(self, cause: Any = None) -> None:
         """Take the medium down; interrupts the relay if mid-activity."""
@@ -409,115 +408,3 @@ class Channel:
                 if fate is not PacketFate.LOST:
                     yield env.timeout(self.propagation_delay)
                 return fate
-
-
-class FailoverChannel:
-    """A primary/backup channel pair with automatic failover.
-
-    One relay process serves the stream, routing each packet over the
-    primary path unless it is down, in which case the (typically
-    narrower) backup carries the traffic — the redundancy form of
-    graceful degradation: quality may drop with the backup's bandwidth,
-    but the stream never stalls while either path lives.
-
-    Both member channels stay individually breakable
-    (``fail``/``repair``), so fault injectors target them directly; the
-    relay only dies if *both* are down and only pauses, never crashes.
-    """
-
-    def __init__(self, primary: Channel, backup: Channel):
-        self.primary = primary
-        self.backup = backup
-        self.n_failovers = 0
-        self.process = None
-        self._last_path: Channel | None = None
-
-    @property
-    def down(self) -> bool:
-        """True only when both paths are failed."""
-        return self.primary.down and self.backup.down
-
-    @property
-    def stats(self) -> ChannelStats:
-        """Merged counters over both paths (traces concatenated and
-        re-sorted by arrival time)."""
-        merged = ChannelStats()
-        for stats in (self.primary.stats, self.backup.stats):
-            merged.sent += stats.sent
-            merged.delivered += stats.delivered
-            merged.corrupted += stats.corrupted
-            merged.lost += stats.lost
-            merged.retransmissions += stats.retransmissions
-            merged.outages += stats.outages
-            merged.fault_drops += stats.fault_drops
-            merged.degraded_drops += stats.degraded_drops
-            merged.tx_energy += stats.tx_energy
-            merged.rx_energy += stats.rx_energy
-            merged.arrival_trace.extend(stats.arrival_trace)
-        merged.arrival_trace.sort(key=lambda entry: entry[1])
-        return merged
-
-    def _pick(self) -> Channel | None:
-        if not self.primary.down:
-            path = self.primary
-        elif not self.backup.down:
-            path = self.backup
-        else:
-            return None
-        if path is self.backup and self._last_path is not self.backup:
-            self.n_failovers += 1
-        self._last_path = path
-        return path
-
-    def start(self, env: "Environment", tx_buffer: "Store",
-              rx_buffer: "FiniteQueue"):
-        """Start the failover relay moving Tx-buffer -> Rx-buffer."""
-
-        def run():
-            while True:
-                path = self._pick()
-                if path is None:
-                    # Total outage: wait for whichever path heals first.
-                    yield env.any_of([
-                        self.primary._wait_repair(env),
-                        self.backup._wait_repair(env),
-                    ])
-                    continue
-                path._active = True
-                get_event = tx_buffer.get()
-                try:
-                    packet: Packet = yield get_event
-                except Interrupt:
-                    get_event.cancel()
-                    path._active = False
-                    continue
-                path.stats.sent += 1
-                try:
-                    fate = yield from path._transmit(env, packet)
-                except Interrupt:
-                    path.stats.lost += 1
-                    path.stats.fault_drops += 1
-                    path._active = False
-                    continue
-                path._active = False
-                if fate is PacketFate.LOST:
-                    path.stats.lost += 1
-                    continue
-                if fate is PacketFate.ERROR:
-                    packet.corrupted = True
-                    path.stats.corrupted += 1
-                path.stats.delivered += 1
-                path.stats.rx_energy += (
-                    packet.size_bits * path.rx_energy_per_bit
-                )
-                if path.trace_arrivals:
-                    path.stats.arrival_trace.append(
-                        (packet.seqno, env.now)
-                    )
-                rx_buffer.offer(packet)
-
-        self.process = env.process(run())
-        # Faults on either member must interrupt the shared relay.
-        self.primary.process = self.process
-        self.backup.process = self.process
-        return self.process

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from repro.des import Environment, FiniteQueue
 from repro.des.events import Interrupt
-from repro.streams.channel import Channel, ChannelStats, FailoverChannel
+from repro.streams.channel import Channel, ChannelStats
 from repro.streams.sink import Sink
 from repro.streams.source import StreamSource
 
@@ -99,7 +99,7 @@ class StreamPipeline:
     def __init__(
         self,
         source: StreamSource,
-        channel: Channel | FailoverChannel,
+        channel: Channel,
         sink: Sink,
         tx_buffer_size: int = 32,
         rx_buffer_size: int = 32,
@@ -124,11 +124,10 @@ class StreamPipeline:
         faults, fault_seed:
             When ``faults`` is given, a
             :class:`~repro.resilience.faults.FaultInjector` breaks and
-            repairs the channel (the *primary* path of a
-            :class:`FailoverChannel`) on that model's schedule.  A
+            repairs the channel on that model's schedule.  A
             non-resilient channel then crashes the run at the first
-            fault (``report.crashed``); a resilient or failover channel
-            degrades instead, and the report stays complete.
+            fault (``report.crashed``); a resilient channel degrades
+            instead, and the report stays complete.
         """
         if horizon <= 0:
             raise ValueError("horizon must be positive")
@@ -145,11 +144,8 @@ class StreamPipeline:
             # Imported here: repro.resilience depends on this module.
             from repro.resilience.faults import FaultInjector
 
-            target = self.channel
-            if isinstance(self.channel, FailoverChannel):
-                target = self.channel.primary
             injector = FaultInjector(
-                env, target, faults, seed=fault_seed,
+                env, self.channel, faults, seed=fault_seed,
                 name="stream-channel",
             )
 

@@ -17,8 +17,6 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from repro.streams.packets import FrameType, Packet
 from repro.utils.rng import spawn_rng
 
@@ -252,19 +250,3 @@ class MpegSource(StreamSource):
             counts[ftype] * self.mean_bits[ftype] for ftype in counts
         )
         return per_gop_bits * self.fps / len(self.gop)
-
-    def frame_sizes(self, n_frames: int) -> np.ndarray:
-        """Generate ``n_frames`` frame sizes offline (no DES needed).
-
-        Useful for feeding trace-driven queue models and the traffic
-        analysis experiments.
-        """
-        if n_frames < 0:
-            raise ValueError("n_frames must be non-negative")
-        sizes = np.empty(n_frames)
-        for i in range(n_frames):
-            ftype = self.gop.frame_type(self._frame_index)
-            self._frame_index += 1
-            mu, sigma = self._params[ftype]
-            sizes[i] = self._rng.lognormal(mu, sigma)
-        return sizes

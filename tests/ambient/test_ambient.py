@@ -15,7 +15,6 @@ from repro.ambient import (
     UserBehaviorModel,
     availability_lower_bound,
     default_home_user,
-    live_redundancy_study,
     redundancy_study,
     user_aware_energy_study,
 )
@@ -201,26 +200,6 @@ class TestSmartSpace:
             assert r.measured_availability == pytest.approx(
                 r.analytical_availability, abs=tolerance
             )
-
-    def test_live_study_matches_analytic_and_orders(self):
-        results = live_redundancy_study(horizon=30_000.0, seed=6)
-        measured = [r.measured_availability for r in results]
-        assert measured == sorted(measured)
-        assert all(r.n_faults > 0 for r in results)
-        for r in results:
-            tolerance = 0.12 if r.nodes_per_zone == 1 else 0.05
-            assert r.measured_availability == pytest.approx(
-                r.analytical_availability, abs=tolerance
-            )
-
-    def test_live_study_reproducible(self):
-        first = live_redundancy_study(horizon=5_000.0, seed=1)
-        second = live_redundancy_study(horizon=5_000.0, seed=1)
-        assert first == second
-
-    def test_live_study_horizon_validation(self):
-        with pytest.raises(ValueError):
-            live_redundancy_study(horizon=0.0)
 
     def test_user_aware_saves_energy_without_service_loss(self):
         results = user_aware_energy_study(n_slots=15_000, seed=5)

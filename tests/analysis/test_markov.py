@@ -91,25 +91,6 @@ class TestDTMCStructure:
         with pytest.raises(ValueError):
             chain.step([1.0], n_steps=-1)
 
-    def test_hitting_times_simple(self):
-        # symmetric random walk on 3 states, hitting state 2
-        chain = DTMC([
-            [0.5, 0.5, 0.0],
-            [0.25, 0.5, 0.25],
-            [0.0, 0.0, 1.0],
-        ])
-        h = chain.expected_hitting_times(2)
-        assert h[2] == 0.0
-        # balance equations:
-        # h0 = 1 + .5 h0 + .5 h1 ; h1 = 1 + .25 h0 + .5 h1
-        # -> h0 = 8, h1 = 6
-        assert h[0] == pytest.approx(8.0)
-        assert h[1] == pytest.approx(6.0)
-
-    def test_hitting_target_validated(self):
-        with pytest.raises(ValueError):
-            DTMC([[1.0]]).expected_hitting_times(3)
-
 
 class TestDtmcSeedKeyword:
     def test_seed_replaces_manual_rng(self):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.asip import (
-    CustomInstruction,
     ExtensibleProcessor,
     IsaRestrictions,
     IssProfiler,

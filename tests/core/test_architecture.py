@@ -62,6 +62,15 @@ class TestBusInterconnect:
         with pytest.raises(ValueError):
             PointToPointInterconnect(bandwidth=-1.0)
 
+    def test_failed_link_is_down_both_ways_until_repaired(self):
+        interconnect = PointToPointInterconnect()
+        assert interconnect.link_available("cpu0", "mem0")
+        interconnect.fail_link("cpu0", "mem0")
+        assert not interconnect.link_available("cpu0", "mem0")
+        assert not interconnect.link_available("mem0", "cpu0")
+        interconnect.repair_link("cpu0", "mem0")
+        assert interconnect.link_available("cpu0", "mem0")
+
 
 class TestPlatform:
     def test_add_and_lookup(self):

@@ -7,12 +7,10 @@ import pytest
 from repro.core import (
     AnalyticalEvaluator,
     ApplicationGraph,
-    BusInterconnect,
     ChannelSpec,
     Mapping,
     PEKind,
     Platform,
-    PointToPointInterconnect,
     ProcessNode,
     SimulationEvaluator,
 )

@@ -11,7 +11,6 @@ from repro.core import (
     OperatingPoint,
     PowerState,
     PowerStateMachine,
-    XSCALE_POINTS,
     xscale_dvfs,
 )
 

@@ -1,10 +1,9 @@
 """DES kernel edge cases: run(until=...) corner semantics, failure
-re-raise, and the interrupt-hardening added with the resilience layer
-(cancellable waiters, out-of-service gating)."""
+re-raise, and cancellable waiters for interrupted processes."""
 
 import pytest
 
-from repro.des import Environment, FiniteQueue, Store
+from repro.des import Environment, Store
 from repro.des.environment import EmptySchedule
 from repro.des.events import Interrupt
 from repro.des.resources import Resource
@@ -192,61 +191,3 @@ class TestCancellableWaiters:
         env.run(until=get_event)
         get_event.cancel()  # already granted: must not corrupt state
         assert get_event.value == "x"
-
-
-class TestOutOfService:
-    def test_store_suspends_matching_while_down(self):
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def consumer(env):
-            item = yield store.get()
-            got.append((env.now, item))
-
-        env.process(consumer(env))
-
-        def producer(env):
-            yield store.put("held")
-
-        def script(env):
-            store.set_out_of_service(True)
-            env.process(producer(env))
-            yield env.timeout(5)
-            store.set_out_of_service(False)
-
-        env.process(script(env))
-        env.run()
-        # The item sat in the store until recovery re-dispatched it.
-        assert got == [(5.0, "held")]
-
-    def test_finite_queue_drops_offers_while_down(self):
-        env = Environment()
-        queue = FiniteQueue(env, capacity=4)
-        queue.set_out_of_service(True)
-        assert queue.offer("lost") is False
-        assert queue.n_dropped == 1
-        queue.set_out_of_service(False)
-        assert queue.offer("kept") is True
-        assert queue.items == ["kept"]
-
-    def test_resource_defers_grants_while_down(self):
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        granted = []
-
-        def user(env):
-            request = resource.request()
-            yield request
-            granted.append(env.now)
-            resource.release(request)
-
-        def script(env):
-            resource.set_out_of_service(True)
-            env.process(user(env))
-            yield env.timeout(3)
-            resource.set_out_of_service(False)
-
-        env.process(script(env))
-        env.run()
-        assert granted == [3.0]

@@ -124,21 +124,6 @@ class TestResource:
         env.run()
         assert last.processed and not skipped.triggered
 
-    def test_out_of_service_defers_then_grants_in_order(self):
-        env = Environment()
-        cpu = Resource(env, capacity=2)
-        cpu.set_out_of_service(True)
-        first, second, third = (cpu.request() for _ in range(3))
-        assert cpu.users == [] and len(cpu.queue) == 3
-        cpu.set_out_of_service(False)
-        assert cpu.users == [first, second]
-        assert cpu.queue == [third]
-        cpu.set_out_of_service(True)
-        cpu.release(first)  # a release during an outage grants nothing
-        assert cpu.users == [second] and cpu.queue == [third]
-        cpu.set_out_of_service(False)
-        assert cpu.users == [second, third]
-
     def test_metric_values_are_exact(self):
         registry = MetricRegistry()
         env = Environment(metrics=registry)

@@ -12,12 +12,6 @@ import json
 
 import pytest
 
-from repro.noc import (
-    Mesh2D,
-    NocEnergyModel,
-    mms_apcg,
-    parallel_annealing_mapping,
-)
 from repro.parallel import run_replicated
 
 
@@ -55,25 +49,3 @@ class TestWorkerCountInvariance:
         first = run_replicated("e14", replicas=2, workers=2)
         second = run_replicated("e14", replicas=2, workers=2)
         assert _stripped(first) == _stripped(second)
-
-
-class TestAnnealingMultiStart:
-    def test_workers_do_not_change_the_winner(self):
-        tg, mesh = mms_apcg(), Mesh2D(4, 4)
-        serial = parallel_annealing_mapping(
-            tg, mesh, n_starts=3, workers=1, n_iterations=1500)
-        fanned = parallel_annealing_mapping(
-            tg, mesh, n_starts=3, workers=4, n_iterations=1500)
-        assert serial == fanned
-
-    def test_more_starts_never_worse(self):
-        tg, mesh = mms_apcg(), Mesh2D(4, 4)
-        energy = NocEnergyModel()
-        one = parallel_annealing_mapping(
-            tg, mesh, energy=energy, n_starts=1, workers=1,
-            n_iterations=1500)
-        four = parallel_annealing_mapping(
-            tg, mesh, energy=energy, n_starts=4, workers=2,
-            n_iterations=1500)
-        assert (four.communication_energy(tg, energy)
-                <= one.communication_energy(tg, energy))

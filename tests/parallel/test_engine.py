@@ -1,5 +1,5 @@
-"""The replication engine: seeds, the generic pool map, and the
-mergeable-result invariants of one replicated run."""
+"""The replication engine: seeds and the mergeable-result invariants
+of one replicated run."""
 
 import gc
 import math
@@ -13,7 +13,6 @@ from repro.parallel import (
     ReplicaResult,
     fork_seed,
     merge_replicas,
-    parallel_map,
     pool_kpis,
     replica_seed,
     run_replicated,
@@ -41,24 +40,6 @@ class TestSeedDerivation:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             replica_seed(0, -1)
-
-
-class TestParallelMap:
-    def test_preserves_input_order(self):
-        items = list(range(20))
-        assert parallel_map(str, items, workers=4) == [
-            str(i) for i in items
-        ]
-
-    def test_inline_when_single_worker(self):
-        assert parallel_map(abs, [-2, 3], workers=1) == [2, 3]
-
-    def test_empty_input(self):
-        assert parallel_map(abs, [], workers=4) == []
-
-    def test_workers_capped_at_items(self):
-        # More workers than items must not hang or error.
-        assert parallel_map(abs, [-1], workers=8) == [1]
 
 
 class TestRunReplicated:

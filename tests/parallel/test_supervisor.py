@@ -1,18 +1,12 @@
 """Unit tests for the fault-tolerance layer: fault plans, the
-checkpoint journal, the supervisor loop's retry/timeout/degradation
-mechanics, and the :class:`ParallelItemError` contract of
-``parallel_map``."""
+checkpoint journal, and the supervisor loop's retry/timeout/degradation
+mechanics."""
 
 import gc
 import json
 import multiprocessing
-import os
-import pickle
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -22,17 +16,13 @@ from repro.parallel import (
     FaultPlan,
     InjectedFault,
     JournalMismatchError,
-    ParallelItemError,
     ReplicaFailedError,
     ReplicaResult,
     SupervisorPolicy,
-    parallel_map,
     supervise,
 )
 from repro.parallel import supervisor as supervisor_module
 from repro.parallel.supervisor import _backoff
-
-_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 # ----------------------------------------------------------------------
@@ -147,8 +137,10 @@ def _echo_worker(payload):
     index, seed, attempt, mode = payload
     if mode == "fail-first" and attempt == 1:
         raise RuntimeError("transient")
-    if mode == "sleep":
+    if mode == "sleep" or (mode == "fail-zero" and index > 0):
         time.sleep(60)
+    if mode == "fail-zero":
+        raise RuntimeError("zero fails at once")
     return ReplicaResult(index=index, seed=seed,
                          kpis={"v": float(index)}, attempts=attempt)
 
@@ -206,6 +198,16 @@ class TestSupervise:
         assert excinfo.value.seed == 10
         assert "RuntimeError" in str(excinfo.value)
 
+    def test_failure_leaves_no_sibling_running(self):
+        before = set(multiprocessing.active_children())
+        start = time.perf_counter()
+        with pytest.raises(ReplicaFailedError) as excinfo:
+            _supervise([(0, 10), (1, 11), (2, 12)], "fail-zero",
+                       SupervisorPolicy(retries=0))
+        assert excinfo.value.index == 0
+        assert time.perf_counter() - start < 30.0
+        assert set(multiprocessing.active_children()) <= before
+
     def test_timeout_terminates_and_reports_hang(self, monkeypatch):
         monkeypatch.setattr(supervisor_module, "TERM_GRACE", 0.5)
         policy = SupervisorPolicy(timeout=0.5, retries=0, partial=True)
@@ -259,87 +261,3 @@ class TestSupervise:
             base = min(10.0, 0.1 * 2 ** (attempt - 1))
             delay = _backoff(policy, attempt, rng)
             assert base <= delay <= base * 1.5
-
-
-# ----------------------------------------------------------------------
-# parallel_map failure semantics
-# ----------------------------------------------------------------------
-def _explode_on_three(value):
-    if value == 3:
-        raise ValueError("three is right out")
-    return value * 2
-
-
-def _explode_first_sleep_rest(value):
-    if value == 0:
-        raise ValueError("zero fails at once")
-    time.sleep(60)
-    return value
-
-
-_CRASH_SCRIPT = """
-import os
-from repro.parallel import ParallelItemError, parallel_map
-
-def die_on_two(value):
-    if value == 2:
-        os._exit(1)
-    return value
-
-try:
-    parallel_map(die_on_two, [0, 1, 2, 3], workers=2)
-except ParallelItemError as error:
-    print(error.index, error.item, type(error.original).__name__,
-          "exit code 1" in str(error.original))
-"""
-
-
-class TestParallelItemError:
-    def test_inline_names_item_and_chains(self):
-        with pytest.raises(ParallelItemError) as excinfo:
-            parallel_map(_explode_on_three, [1, 2, 3, 4], workers=1)
-        error = excinfo.value
-        assert error.index == 2
-        assert error.item == 3
-        assert isinstance(error.original, ValueError)
-        assert isinstance(error.__cause__, ValueError)
-        assert "three is right out" in str(error)
-
-    def test_pool_names_item(self):
-        with pytest.raises(ParallelItemError) as excinfo:
-            parallel_map(_explode_on_three, [1, 2, 3, 4], workers=2)
-        error = excinfo.value
-        assert error.index == 2
-        assert error.item == 3
-        assert isinstance(error.original, ValueError)
-
-    def test_crashed_worker_names_item_instead_of_hanging(self):
-        # A child interpreter, so a hang fails by timeout instead of
-        # stalling the suite.
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (_SRC if not existing
-                             else _SRC + os.pathsep + existing)
-        done = subprocess.run(
-            [sys.executable, "-c", _CRASH_SCRIPT], env=env,
-            capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == [
-            "2", "2", "ReplicaFailedError", "True"]
-
-    def test_failure_leaves_no_sibling_running(self):
-        before = set(multiprocessing.active_children())
-        start = time.perf_counter()
-        with pytest.raises(ParallelItemError) as excinfo:
-            parallel_map(_explode_first_sleep_rest, [0, 1, 2],
-                         workers=2)
-        assert excinfo.value.index == 0
-        assert time.perf_counter() - start < 30.0
-        assert set(multiprocessing.active_children()) <= before
-
-    def test_pickle_round_trip_keeps_fields(self):
-        error = ParallelItemError(4, "item", ValueError("boom"))
-        clone = pickle.loads(pickle.dumps(error))
-        assert clone.index == 4
-        assert clone.item == "item"
-        assert isinstance(clone.original, ValueError)

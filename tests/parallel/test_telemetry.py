@@ -101,16 +101,6 @@ class TestSweepView:
         view.handle("done", {"index": 1})
         assert view.total_events_per_sec() == 100.0
 
-    def test_render_lines(self):
-        view = SweepView()
-        view.handle("start", {"index": 0, "seed": 1, "attempt": 1})
-        view.handle("telemetry", {"index": 0, "sim_now": 1.0,
-                                  "events_per_sec": 1000.0})
-        lines = view.render_lines()
-        assert lines[0].startswith("sweep:")
-        assert "r0 [running]" in lines[1]
-        assert "sim_t=1.00" in lines[1]
-
     def test_stream_rendering(self):
         stream = io.StringIO()
         view = SweepView(stream=stream)
@@ -119,6 +109,16 @@ class TestSweepView:
         out = stream.getvalue()
         assert "[live] r0 running" in out
         assert "[live] r0 done" in out
+
+    def test_stream_renders_telemetry(self):
+        stream = io.StringIO()
+        view = SweepView(stream=stream, min_refresh=0.0)
+        view.handle("start", {"index": 0, "seed": 1, "attempt": 1})
+        view.handle("telemetry", {"index": 0, "sim_now": 1.0,
+                                  "events_per_sec": 1000.0})
+        last = stream.getvalue().splitlines()[-1]
+        assert last.startswith("[live] r0 sim_t=1.00 1.0k ev/s | ")
+        assert "1 running" in last
 
     def test_replica_view_defaults(self):
         replica = ReplicaView(index=3)

@@ -1,28 +1,16 @@
-"""Fault injectors: models, adapters, windows, reproducibility."""
+"""Fault injectors: the failure law, channel windows, reproducibility."""
 
 import pytest
 
-from repro.core.architecture import (
-    PointToPointInterconnect,
-    ProcessingElement,
-)
-from repro.des import Environment, Store
+from repro.des import Environment, FiniteQueue
 from repro.des.events import Interrupt
-from repro.des.resources import Resource
 from repro.resilience import (
-    BreakableLink,
-    BreakablePE,
-    BreakableResource,
-    BreakableStore,
-    CallbackBreakable,
     FailureModel,
     FaultEvent,
     FaultInjector,
-    ProcessKill,
-    all_down_intervals,
-    any_up_fraction,
     session_fault_plan,
 )
+from repro.streams import Channel
 from repro.utils.rng import spawn_rng
 
 
@@ -32,71 +20,62 @@ class TestFailureModel:
             FailureModel(mtbf=0.0)
         with pytest.raises(ValueError):
             FailureModel(mtbf=1.0, mttr=-1.0)
-        with pytest.raises(ValueError):
-            FailureModel(mtbf=1.0, shape=0.0)
-
-    def test_steady_availability(self):
-        model = FailureModel.exponential(mtbf=9.0, mttr=1.0)
-        assert model.steady_availability() == pytest.approx(0.9)
-        assert FailureModel.crash(mtbf=5.0).steady_availability() == 0.0
 
     def test_crash_is_permanent(self):
-        assert FailureModel.crash(mtbf=1.0).permanent
+        assert FailureModel.exponential(1.0).permanent
         assert not FailureModel.exponential(1.0, mttr=1.0).permanent
-
-    def test_transient_rate(self):
-        model = FailureModel.transient(rate=4.0)
-        assert model.mtbf == pytest.approx(0.25)
-        assert model.mttr == 0.0
-
-    def test_weibull_mean_matches_mtbf(self):
-        model = FailureModel.weibull(mtbf=3.0, shape=2.0)
-        rng = spawn_rng(0, "weibull-mean")
-        samples = [model.sample_ttf(rng) for _ in range(20_000)]
-        mean = sum(samples) / len(samples)
-        assert mean == pytest.approx(3.0, rel=0.05)
 
     def test_permanent_repair_sampling_rejected(self):
         with pytest.raises(RuntimeError):
-            FailureModel.crash(1.0).sample_ttr(spawn_rng(0, "x"))
+            FailureModel.exponential(1.0).sample_ttr(spawn_rng(0, "x"))
 
 
 class TestFaultInjector:
     def test_windows_alternate_and_close(self):
         env = Environment()
+        channel = Channel(bandwidth=1e6)
         injector = FaultInjector(
-            env, None, FailureModel.exponential(mtbf=1.0, mttr=0.5),
+            env, channel, FailureModel.exponential(mtbf=1.0, mttr=0.5),
             seed=1,
         )
         env.run(until=50.0)
         assert injector.n_failures > 5
-        for down_at, up_at in injector.windows[:-1]:
-            assert up_at is not None and up_at >= down_at
-        # Availability consistent with the windows.
-        measured = injector.availability(50.0)
-        assert 0.0 < measured < 1.0
-        assert measured == pytest.approx(
-            1.0 - injector.downtime(50.0) / 50.0
-        )
+        closed = [w for w in injector.windows if w[1] is not None]
+        for down_at, up_at in closed:
+            assert up_at >= down_at
+        for (_, up_at), (next_down, _) in zip(injector.windows,
+                                              injector.windows[1:]):
+            assert next_down >= up_at
+        # Every closed window is one repair the channel counted, and
+        # the channel is down exactly while the last window is open.
+        assert channel.stats.outages == len(closed)
+        assert channel.down == (injector.windows[-1][1] is None)
 
     def test_permanent_fault_fires_once(self):
         env = Environment()
-        log = []
-        target = CallbackBreakable(on_fail=lambda c: log.append(c))
-        injector = FaultInjector(env, target, FailureModel.crash(2.0),
+        tx_buffer = FiniteQueue(env, capacity=4)
+        rx_buffer = FiniteQueue(env, capacity=4)
+        channel = Channel(bandwidth=1e6)
+        channel.start(env, tx_buffer, rx_buffer)
+        injector = FaultInjector(env, channel,
+                                 FailureModel.exponential(mtbf=2.0),
                                  seed=3)
-        env.run(until=100.0)
+        # A non-resilient channel lets the fault's Interrupt escape.
+        with pytest.raises(Interrupt) as excinfo:
+            env.run(until=100.0)
+        cause = excinfo.value.cause
+        assert isinstance(cause, FaultEvent)
+        assert cause.permanent
         assert injector.n_failures == 1
-        assert len(log) == 1
-        assert isinstance(log[0], FaultEvent)
-        assert log[0].permanent
-        assert injector.down
+        assert injector.windows == [(cause.time, None)]
+        assert channel.down
+        assert channel.stats.outages == 0
 
     def test_reproducible_schedules(self):
         def windows(seed):
             env = Environment()
             injector = FaultInjector(
-                env, None,
+                env, Channel(bandwidth=1e6),
                 FailureModel.exponential(mtbf=2.0, mttr=1.0), seed=seed,
             )
             env.run(until=200.0)
@@ -107,106 +86,14 @@ class TestFaultInjector:
 
     def test_start_delay_defers_first_fault(self):
         env = Environment()
+        channel = Channel(bandwidth=1e6)
         injector = FaultInjector(
-            env, None, FailureModel.exponential(mtbf=0.1, mttr=0.1),
+            env, channel, FailureModel.exponential(mtbf=0.1, mttr=0.1),
             seed=0, start_delay=10.0,
         )
         env.run(until=10.0)
         assert injector.n_failures == 0
-
-    def test_stop_retires_injector(self):
-        env = Environment()
-        hits = []
-        target = CallbackBreakable(on_fail=lambda c: hits.append(c))
-        injector = FaultInjector(
-            env, target, FailureModel.exponential(mtbf=1.0, mttr=0.1),
-            seed=0,
-        )
-        env.run(until=5.0)
-        injector.stop()
-        count = len(hits)
-        env.run(until=50.0)
-        assert len(hits) == count
-
-
-class TestBreakables:
-    def test_process_kill_interrupts_victim(self):
-        env = Environment()
-        causes = []
-
-        def worker(env):
-            while True:
-                try:
-                    yield env.timeout(10)
-                except Interrupt as interrupt:
-                    causes.append(interrupt.cause)
-
-        victim = env.process(worker(env))
-        FaultInjector(env, ProcessKill(victim),
-                      FailureModel.exponential(mtbf=3.0, mttr=1.0),
-                      seed=2)
-        env.run(until=30.0)
-        assert causes
-        assert all(isinstance(c, FaultEvent) for c in causes)
-
-    def test_breakable_resource_roundtrip(self):
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        breakable = BreakableResource(resource)
-        breakable.fail()
-        assert resource.out_of_service
-        breakable.repair()
-        assert not resource.out_of_service
-
-    def test_breakable_store_roundtrip(self):
-        env = Environment()
-        store = Store(env)
-        breakable = BreakableStore(store)
-        breakable.fail()
-        assert store.out_of_service
-        breakable.repair()
-        assert not store.out_of_service
-
-    def test_breakable_pe_and_platform(self):
-        pe = ProcessingElement(name="cpu0", frequency=1e9)
-        BreakablePE(pe).fail()
-        assert not pe.available
-        BreakablePE(pe).repair()
-        assert pe.available
-
-    def test_breakable_link(self):
-        interconnect = PointToPointInterconnect()
-        breakable = BreakableLink(interconnect, "cpu0", "mem0")
-        assert interconnect.link_available("cpu0", "mem0")
-        breakable.fail()
-        assert not interconnect.link_available("cpu0", "mem0")
-        assert not interconnect.link_available("mem0", "cpu0")
-        breakable.repair()
-        assert interconnect.link_available("cpu0", "mem0")
-
-
-class TestWindowAlgebra:
-    def test_all_down_intervals_intersection(self):
-        windows = [
-            [(0.0, 4.0), (8.0, None)],
-            [(2.0, 6.0), (7.0, 9.0)],
-        ]
-        assert all_down_intervals(windows, 10.0) == [
-            (2.0, 4.0), (8.0, 9.0),
-        ]
-
-    def test_any_up_fraction(self):
-        windows = [
-            [(0.0, 4.0), (8.0, None)],
-            [(2.0, 6.0), (7.0, 9.0)],
-        ]
-        assert any_up_fraction(windows, 10.0) == pytest.approx(0.7)
-        assert any_up_fraction([], 10.0) == 0.0
-        assert any_up_fraction([[]], 10.0) == 1.0
-
-    def test_horizon_validation(self):
-        with pytest.raises(ValueError):
-            all_down_intervals([[]], 0.0)
+        assert not channel.down
 
 
 class TestSessionFaultPlan:
@@ -228,7 +115,7 @@ class TestSessionFaultPlan:
 
     def test_permanent_plan_fails_each_node_once(self):
         plan = session_fault_plan(
-            8, 10_000, FailureModel.crash(mtbf=100.0), seed=0,
+            8, 10_000, FailureModel.exponential(mtbf=100.0), seed=0,
         )
         all_events = [e for events in plan.values() for e in events]
         assert all(action == "fail" for _, action in all_events)

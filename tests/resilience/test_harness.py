@@ -1,4 +1,4 @@
-"""End-to-end resilience: fault-injected runs, failover, QoS curves."""
+"""End-to-end resilience: fault-injected runs and QoS curves."""
 
 import math
 
@@ -13,13 +13,7 @@ from repro.resilience import (
     resilience_report,
     stream_pipeline_qos,
 )
-from repro.streams import (
-    Channel,
-    FailoverChannel,
-    MpegSource,
-    Sink,
-    StreamPipeline,
-)
+from repro.streams import Channel, MpegSource, Sink, StreamPipeline
 
 
 def build_pipeline(channel):
@@ -72,39 +66,6 @@ class TestFaultInjectedPipeline:
                     channel.stats.degraded_drops)
 
         assert run() == run()
-
-
-class TestFailoverChannel:
-    def test_failover_keeps_stream_alive(self):
-        primary = Channel(bandwidth=4e6, name="primary")
-        backup = Channel(bandwidth=2e6, name="backup")
-        channel = FailoverChannel(primary, backup)
-        report = build_pipeline(channel).run(
-            horizon=10.0,
-            faults=FailureModel.exponential(mtbf=2.0, mttr=1.0),
-            fault_seed=2,
-        )
-        assert not report.crashed
-        assert report.n_faults > 0
-        assert channel.n_failovers > 0
-        assert report.displayed > 0
-        # Both paths carried traffic.
-        assert primary.stats.sent > 0
-        assert backup.stats.sent > 0
-
-    def test_merged_stats(self):
-        primary = Channel(bandwidth=4e6, name="primary")
-        backup = Channel(bandwidth=2e6, name="backup")
-        channel = FailoverChannel(primary, backup)
-        build_pipeline(channel).run(
-            horizon=5.0,
-            faults=FailureModel.exponential(mtbf=2.0, mttr=1.0),
-            fault_seed=2,
-        )
-        merged = channel.stats
-        assert merged.sent == primary.stats.sent + backup.stats.sent
-        trace = merged.arrival_trace
-        assert trace == sorted(trace)
 
 
 class TestDegradationCurve:

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.des import Environment, Store
 from repro.streams import (
@@ -139,25 +137,12 @@ class TestMpegSource:
         expected = (400_000 + 0.45 * 400_000 + 0.15 * 400_000) * 25 / 3
         assert source.average_bitrate() == pytest.approx(expected)
 
-    def test_frame_sizes_offline(self):
-        source = MpegSource(fps=25.0, seed=1)
-        sizes = source.frame_sizes(1000)
-        assert sizes.shape == (1000,)
-        assert (sizes > 0).all()
-
-    def test_frame_sizes_mean_close_to_bitrate(self):
+    def test_emitted_mean_close_to_bitrate(self):
         source = MpegSource(fps=25.0, i_frame_bits=400_000.0, seed=2)
-        sizes = source.frame_sizes(20_000)
-        measured_rate = sizes.mean() * 25.0
-        assert measured_rate == pytest.approx(
+        packets = collect(source, horizon=800.0)
+        assert len(packets) == 20_000
+        sizes = np.array([p.size_bits for p in packets])
+        assert (sizes > 0).all()
+        assert sizes.mean() * 25.0 == pytest.approx(
             source.average_bitrate(), rel=0.05
         )
-
-    def test_negative_frame_count_rejected(self):
-        with pytest.raises(ValueError):
-            MpegSource().frame_sizes(-1)
-
-    @settings(max_examples=10)
-    @given(st.integers(min_value=1, max_value=1000))
-    def test_frame_sizes_positive(self, n):
-        assert (MpegSource(seed=0).frame_sizes(n) > 0).all()

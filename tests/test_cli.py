@@ -4,14 +4,15 @@ import json
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro import experiments
+from repro.cli import main
 
 
 class TestCli:
     def test_list_shows_all_experiments(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for exp_id in EXPERIMENTS:
+        for exp_id in experiments.ids():
             assert exp_id in out
 
     def test_no_command_lists(self, capsys):
@@ -37,12 +38,12 @@ class TestCli:
     def test_registry_covers_every_benchmark_experiment(self):
         # one CLI entry per experiment id of DESIGN.md, plus r1
         expected = {"f1", "f2", "r1"} | {f"e{i}" for i in range(1, 18)}
-        assert set(EXPERIMENTS) == expected
+        assert set(experiments.ids()) == expected
 
-    def test_experiments_dict_entries_are_claim_runner_pairs(self):
-        claim, runner = EXPERIMENTS["e6"]
-        assert "adaptation" in claim
-        assert callable(runner)
+    def test_registry_entries_carry_claim_and_runner(self):
+        experiment = experiments.get("e6")
+        assert "adaptation" in experiment.claim
+        assert callable(experiment.runner)
 
     def test_ids_are_case_insensitive(self, capsys):
         assert main(["run", "E6"]) == 0

@@ -35,7 +35,6 @@ MODULES_WITH_DOCTESTS = [
     "repro.wireless.packet_channel",
     "repro.asip.retarget",
     "repro.ambient.users",
-    "repro.resilience.policies",
 ]
 
 

@@ -106,3 +106,45 @@ def test_single_run_imports_no_networkx():
     MANET routing, with the default model pre-flight (``verify=True``)
     over process and task graphs -- never imports it."""
     assert _fresh_interpreter(_RUN_PROBE) == ["False"]
+
+
+#: Fault-injection and fan-out names that no experiment, example or
+#: CLI path ever called; they were deleted and must stay gone.
+_UNREACHED = {
+    "resilience": [
+        "with_timeout", "retry_with_backoff", "Watchdog",
+        "CircuitBreaker", "PolicyError", "DeadlineExceeded",
+        "RetryBudgetExceeded", "CircuitOpen", "WatchdogTimeout",
+        "ProcessKill", "BreakableResource", "BreakableStore",
+        "BreakablePE", "BreakableLink", "CallbackBreakable",
+        "all_down_intervals", "any_up_fraction", "ambient_qos",
+    ],
+    "streams": ["FailoverChannel"],
+    "ambient": ["live_redundancy_study", "LiveRedundancyResult"],
+    "parallel": ["parallel_map", "ParallelItemError"],
+    "noc": ["parallel_annealing_mapping"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNREACHED))
+def test_unreached_surface_stays_deleted(name):
+    module = importlib.import_module(f"repro.{name}")
+    for gone in _UNREACHED[name]:
+        assert gone not in module.__all__
+        assert not hasattr(module, gone), f"repro.{name}.{gone}"
+
+
+def test_fault_targets_keep_only_the_reached_hooks():
+    from importlib.util import find_spec
+
+    from repro.des import FiniteQueue, Resource, Store
+    from repro.resilience import FailureModel, FaultInjector
+
+    assert find_spec("repro.resilience.policies") is None
+    for gone in ("weibull", "crash", "transient", "steady_availability",
+                 "shape"):
+        assert not hasattr(FailureModel, gone), gone
+    for gone in ("down", "downtime", "availability", "stop"):
+        assert not hasattr(FaultInjector, gone), gone
+    for kernel_class in (Resource, Store, FiniteQueue):
+        assert not hasattr(kernel_class, "set_out_of_service")

@@ -7,7 +7,6 @@ from repro.wireless import (
     CODE_LADDER,
     FiniteStateChannel,
     ImageCoderModel,
-    ImageTxConfig,
     LinkConfig,
     QAM64,
     TransceiverParams,
