@@ -21,6 +21,7 @@ familiarly:
 from __future__ import annotations
 
 from math import inf
+from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,6 +54,15 @@ class Event:
     Events move through three states: *pending* (created), *triggered*
     (given a value and placed in the event queue) and *processed* (its
     callbacks have run).  Processes wait for events by yielding them.
+
+    An event whose outcome is decided when it is created, and that no
+    callback waits on yet, skips the queue: it is created processed
+    (value set, ``callbacks`` ``None``) and a process that yields it
+    carries on within the same step.  Such are a grant on a free
+    resource, a get from a non-empty store, a put into a store with
+    room, and the normal end of a process that nobody waits on.
+    Failures are always queued, so an unhandled one still raises from
+    :meth:`~repro.des.environment.Environment.run`.
 
     Event records are slab-style: every class in the hierarchy
     declares ``__slots__``, so instances carry no ``__dict__`` — the
@@ -108,6 +118,16 @@ class Event:
         env = self.env
         env._schedule_fast(self, env._now)
         return self
+
+    def _complete(self, value: Any) -> None:
+        """Succeed with ``value`` and mark the event processed at once.
+
+        For an outcome decided when the event is created, before any
+        callback can wait on it: the event never enters the queue.
+        """
+        self._ok = True
+        self._value = value
+        self.callbacks = None
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception."""
@@ -173,15 +193,19 @@ class Process(Event):
 
     A ``Process`` is itself an event that triggers when the generator
     terminates, so processes can wait for each other by yielding the
-    process object.  One is spawned per simulated activity (per packet
-    in the NoC models), so the constructor sets the event fields inline
-    like :class:`Timeout` does.
+    process object.  A normal end that no callback waits on is
+    complete at once and never enters the event queue.  One process is
+    spawned per simulated activity (per packet in the NoC models), so
+    the constructor sets the event fields inline like :class:`Timeout`
+    does.
     """
 
     __slots__ = ("_generator", "_name", "_trace_id", "_target")
 
     def __init__(self, env: "Environment", generator):
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if type(generator) is not GeneratorType and (
+                not hasattr(generator, "send")
+                or not hasattr(generator, "throw")):
             raise TypeError(f"{generator!r} is not a generator")
         self.env = env
         self.callbacks = []
@@ -203,10 +227,12 @@ class Process(Event):
             self._trace_id = None
         # Bootstrap: an urgent, already-successful event resumes the
         # generator for the first time at the current simulation instant.
-        init = Event(env)
-        init._ok = True
+        init = Event.__new__(Event)
+        init.env = env
+        init.callbacks = [self._resume]
         init._value = None
-        init.callbacks.append(self._resume)
+        init._ok = True
+        init._defused = False
         env._schedule_fast(init, env._now, URGENT)
         self._target: Event | None = init
 
@@ -262,7 +288,11 @@ class Process(Event):
                         env._now, "process-end", self._name,
                         id=self._trace_id, ok=True,
                     )
-                env._schedule_fast(self, env._now)
+                if self.callbacks:
+                    env._schedule_fast(self, env._now)
+                else:
+                    # Nobody waits on this end: it is complete now.
+                    self.callbacks = None
                 break
             except BaseException as error:
                 self._ok = False

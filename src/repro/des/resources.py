@@ -36,7 +36,12 @@ __all__ = ["Request", "Resource", "PriorityRequest", "PriorityResource"]
 
 
 class Request(Event):
-    """A pending or granted claim on a :class:`Resource`."""
+    """A pending or granted claim on a :class:`Resource`.
+
+    A request that finds a free slot and nobody queued is granted as it
+    is created: it is already processed, never enters the event queue,
+    and a process that yields it carries on within the same step.
+    """
 
     # _requested_at is only assigned (and only read) when the owning
     # resource has a wait-time metric; the slot simply reserves it.
@@ -60,6 +65,9 @@ class Request(Event):
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> bool:
+        if exc_type is None:
+            self.resource.release(self)
+            return False
         if exc_type is GeneratorExit:
             # The process generator is being closed, which in practice
             # means the garbage collector is finalizing a suspended
@@ -129,14 +137,19 @@ class Resource:
 
     def release(self, request: Request) -> None:
         """Give the resource back (or cancel a waiting request)."""
-        if request in self.users:
-            self.users.remove(request)
-            if self.queue:
-                self._grant_next()
-        elif request in self.queue:
-            self.queue.remove(request)
-        # Releasing an already-released request is a no-op so that the
-        # with-statement exit stays safe after interrupts.
+        users = self.users
+        if users and users[0] is request:
+            del users[0]
+        elif request in users:
+            users.remove(request)
+        else:
+            if request in self.queue:
+                self.queue.remove(request)
+            # Releasing an already-released request is a no-op so that
+            # the with-statement exit stays safe after interrupts.
+            return
+        if self.queue:
+            self._grant_next()
 
     def _discard(self, request: Request) -> None:
         """Remove ``request`` without granting to the next waiter."""
@@ -146,8 +159,14 @@ class Resource:
             self.release(request)  # withdrawing a waiter grants nothing
 
     def _enqueue(self, request: Request) -> None:
-        self.queue.append(request)
-        self._grant_next()
+        users = self.users
+        if not self.queue and len(users) < self.capacity:
+            users.append(request)
+            request._complete(None)
+            if self._m_wait is not None:
+                self._note_grant(request, 0)
+        else:
+            self.queue.append(request)
 
     def _note_grant(self, request: Request, pending: int) -> None:
         """Record wait time and queue length for a fresh grant."""
@@ -159,10 +178,14 @@ class Resource:
     def _grant_next(self) -> None:
         queue = self.queue
         users = self.users
+        env = self.env
         while queue and len(users) < self.capacity:
             request = queue.pop(0)
             users.append(request)
-            request.succeed()
+            # The waiter is suspended on the request: queue the grant.
+            request._ok = True
+            request._value = None
+            env._schedule_fast(request, env._now)
             if self._m_wait is not None:
                 self._note_grant(request, len(queue))
 
@@ -170,10 +193,13 @@ class Resource:
 class PriorityRequest(Request):
     """A request with a priority (lower value = more urgent)."""
 
-    __slots__ = ("priority",)
+    __slots__ = ("priority", "_withdrawn")
 
     def __init__(self, resource: "PriorityResource", priority: float = 0.0):
         self.priority = float(priority)
+        #: Set when the request is withdrawn while waiting; the grant
+        #: loop skips (and drops) its heap entry.
+        self._withdrawn = False
         super().__init__(resource)
 
 
@@ -181,7 +207,8 @@ class PriorityResource(Resource):
     """A resource whose waiting queue is ordered by request priority.
 
     Ties are broken by arrival order.  No preemption: a grant is never
-    revoked.
+    revoked.  Withdrawing a waiting request is O(1): the request is
+    marked and its heap entry is dropped when the grant loop reaches it.
     """
 
     def __init__(self, env: "Environment", capacity: int = 1, *,
@@ -190,6 +217,8 @@ class PriorityResource(Resource):
         super().__init__(env, capacity, name=name, metrics=metrics)
         self._heap: list[tuple[float, int, PriorityRequest]] = []
         self._order = count()
+        #: Heap entries whose request was withdrawn but not yet popped.
+        self._n_withdrawn = 0
 
     def request(self, priority: float = 0.0) -> PriorityRequest:
         """Return a prioritized request event."""
@@ -199,32 +228,47 @@ class PriorityResource(Resource):
         if request in self.users:
             self.users.remove(request)
             self._grant_next()
-        else:
-            # Lazy removal from the heap: mark by filtering on grant.
-            self._heap = [
-                entry for entry in self._heap if entry[2] is not request
-            ]
-            heapq.heapify(self._heap)
+        elif (request.resource is self and request._value is PENDING
+              and not request._withdrawn):
+            # A waiting request: mark it; _grant_next drops its entry.
+            request._withdrawn = True
+            self._n_withdrawn += 1
 
     def _enqueue(self, request: Request) -> None:
         assert isinstance(request, PriorityRequest)
-        heapq.heappush(
-            self._heap, (request.priority, next(self._order), request)
-        )
-        self._grant_next()
+        if (len(self._heap) == self._n_withdrawn
+                and len(self.users) < self.capacity):
+            self.users.append(request)
+            request._complete(None)
+            if self._m_wait is not None:
+                self._note_grant(request, 0)
+        else:
+            heapq.heappush(
+                self._heap, (request.priority, next(self._order), request)
+            )
+            self._grant_next()
 
     def _grant_next(self) -> None:
-        while self._heap and len(self.users) < self.capacity:
-            _, _, request = heapq.heappop(self._heap)
-            self.users.append(request)
-            request.succeed()
+        heap = self._heap
+        users = self.users
+        env = self.env
+        while heap and len(users) < self.capacity:
+            _, _, request = heapq.heappop(heap)
+            if request._withdrawn:
+                self._n_withdrawn -= 1
+                continue
+            users.append(request)
+            request._ok = True
+            request._value = None
+            env._schedule_fast(request, env._now)
             if self._m_wait is not None:
-                self._note_grant(request, len(self._heap))
+                self._note_grant(request, len(heap) - self._n_withdrawn)
 
     @property
     def queue(self) -> list[Request]:  # type: ignore[override]
         """Waiting requests in grant order."""
-        return [entry[2] for entry in sorted(self._heap)]
+        return [entry[2] for entry in sorted(self._heap)
+                if not entry[2]._withdrawn]
 
     @queue.setter
     def queue(self, value) -> None:

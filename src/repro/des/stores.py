@@ -27,7 +27,12 @@ __all__ = ["StorePut", "StoreGet", "Store", "FiniteQueue"]
 
 
 class StorePut(Event):
-    """Pending insertion of ``item`` into a store."""
+    """Pending insertion of ``item`` into a store.
+
+    A put that finds room and no earlier putter waiting is done as it
+    is created: it is already processed and never enters the event
+    queue.
+    """
 
     __slots__ = ("item", "store")
 
@@ -52,7 +57,12 @@ class StorePut(Event):
 
 
 class StoreGet(Event):
-    """Pending retrieval of an item from a store."""
+    """Pending retrieval of an item from a store.
+
+    A get that finds an item and no earlier getter waiting is done as
+    it is created: it is already processed, with the item as its value,
+    and never enters the event queue.
+    """
 
     # _requested_at is only assigned (and only read) when the store has
     # a get-wait metric; the slot simply reserves it.
@@ -150,13 +160,22 @@ class Store:
     # Internal matching of puts and gets
     # ------------------------------------------------------------------
     def _register_put(self, event: StorePut) -> None:
-        self._put_waiters.append(event)
+        if not self._put_waiters and len(self.items) < self.capacity:
+            self.items.append(event.item)
+            event._complete(None)
+        else:
+            self._put_waiters.append(event)
         self._dispatch()
 
     def _register_get(self, event: StoreGet) -> None:
-        if self._m_get_wait is not None:
-            event._requested_at = self.env.now
-        self._get_waiters.append(event)
+        if self.items and not self._get_waiters:
+            event._complete(self.items.pop(0))
+            if self._m_get_wait is not None:
+                self._m_get_wait.observe(0.0)
+        else:
+            if self._m_get_wait is not None:
+                event._requested_at = self.env.now
+            self._get_waiters.append(event)
         self._dispatch()
 
     def _record_level(self) -> None:

@@ -188,7 +188,8 @@ class Histogram(Metric):
         the Welford update of :meth:`SummaryStats.add` is inlined here:
         the same arithmetic in the same order, so the same floats.
         """
-        value = float(value)
+        if type(value) is not float:
+            value = float(value)
         stats = self.stats
         stats.count += 1
         stats.total += value

@@ -112,31 +112,55 @@ class TimeSeries(Metric):
                 bin_[_MAX] = value
 
     def _shrink_to_budget(self) -> None:
-        while len(self._bins) > self.max_bins:
-            self._double()
+        """Widen the bins to the finest level that fits the budget."""
+        if len(self._bins) <= self.max_bins:
+            return
+        keys = sorted(self._bins)
+        # Two adjacent occupied bins share a bin from ``_join`` levels
+        # up, so the occupied count at ``d`` levels up is one plus the
+        # number of adjacent joins above ``d``.
+        joins = sorted(map(_join, keys, keys[1:]), reverse=True)
+        self._rebin(self.level + joins[self.max_bins - 1], keys)
 
-    def _double(self) -> None:
-        """Double the bin width, pairwise-merging adjacent bins.
+    def _rebin(self, level: int, keys: list[int] | None = None) -> None:
+        """Widen the bins to ``level`` in one pass.
 
-        Rebinning halves integer indices (``floor(t / 2w) ==
-        floor(floor(t / w) / 2)``), so no sample time is ever
-        re-quantized through floating point.
+        The result, floats included, is that of doubling the width one
+        level at a time, where each doubling merges sibling bins
+        pairwise (``floor(t / 2w) == floor(floor(t / w) / 2)``, so no
+        sample time is re-quantized through floating point).  A coarse
+        bin's total is therefore the sum over the binary tree of its
+        occupied sub-bins, and the tree is fixed by the levels at which
+        adjacent sub-bins join: a stack fold over the sorted indices
+        adds the same pairs in the same shape.  Each pair's merge keeps
+        the bin seen first in iteration order, as the doubling did, and
+        the new bins keep that first-seen order.
         """
-        merged: dict[int, list[float]] = {}
-        for index, bin_ in self._bins.items():
-            half = index // 2  # floor division: correct for t < 0 too
-            into = merged.get(half)
-            if into is None:
-                merged[half] = list(bin_)
+        bins = self._bins
+        shift = level - self.level
+        if keys is None:
+            keys = sorted(bins)
+        first_seen = {index: n for n, index in enumerate(bins)}
+        merged: list[tuple[int, int, list[float]]] = []
+        stack: list[tuple[int, list[float]]] = []
+        joins: list[float] = []
+        last = len(keys) - 1
+        for n, index in enumerate(keys):
+            stack.append((first_seen[index], list(bins[index])))
+            join = _join(index, keys[n + 1]) if n < last else math.inf
+            while joins and joins[-1] < join:
+                joins.pop()
+                right = stack.pop()
+                left = stack.pop()
+                stack.append(_merge_bins(left, right))
+            if join <= shift:
+                joins.append(join)
             else:
-                into[_COUNT] += bin_[_COUNT]
-                into[_TOTAL] += bin_[_TOTAL]
-                if bin_[_MIN] < into[_MIN]:
-                    into[_MIN] = bin_[_MIN]
-                if bin_[_MAX] > into[_MAX]:
-                    into[_MAX] = bin_[_MAX]
-        self._bins = merged
-        self.level += 1
+                seen, bin_ = stack.pop()
+                merged.append((seen, index >> shift, bin_))
+        merged.sort()
+        self._bins = {index: bin_ for _, index, bin_ in merged}
+        self.level = level
 
     # ------------------------------------------------------------------
     # Reading
@@ -193,8 +217,8 @@ class TimeSeries(Metric):
                 f"cannot merge timeseries {self.key}: base_width "
                 f"{other.base_width} != {self.base_width}")
         level = max(self.level, other.level)
-        while self.level < level:
-            self._double()
+        if self.level < level:
+            self._rebin(level)
         shift = level - other.level
         for index, bin_ in other._bins.items():
             coarse = index // (1 << shift) if shift else index
@@ -231,6 +255,29 @@ class TimeSeries(Metric):
                 for index, bin_ in sorted(self._bins.items())
             ],
         }
+
+
+def _join(low: int, high: int) -> float:
+    """Levels up at which bins ``low < high`` first share a bin."""
+    if low < 0 <= high:
+        return math.inf  # floor halving never meets across zero
+    return (low ^ high).bit_length()
+
+
+def _merge_bins(
+    a: tuple[int, list[float]], b: tuple[int, list[float]],
+) -> tuple[int, list[float]]:
+    """Merge two ``(first_seen, bin)`` entries into the earlier-seen
+    bin, exactly as a doubling step would."""
+    into, other = (a, b) if a[0] < b[0] else (b, a)
+    bin_, add = into[1], other[1]
+    bin_[_COUNT] += add[_COUNT]
+    bin_[_TOTAL] += add[_TOTAL]
+    if add[_MIN] < bin_[_MIN]:
+        bin_[_MIN] = add[_MIN]
+    if add[_MAX] > bin_[_MAX]:
+        bin_[_MAX] = add[_MAX]
+    return into
 
 
 @dataclass(frozen=True)

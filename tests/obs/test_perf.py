@@ -39,9 +39,10 @@ class TestKernelCounters:
     def test_perf_stats_counts_events(self):
         env = _two_process_sim(n=10)
         stats = env.perf_stats()
-        # 2 bootstrap events + 10 + 10 timeouts + 2 process-end events.
-        assert stats["events_executed"] == 24
-        assert stats["events_scheduled"] == 24
+        # 2 bootstrap events + 10 + 10 timeouts; nobody waits on the
+        # two process ends, so they complete without a queue entry.
+        assert stats["events_executed"] == 22
+        assert stats["events_scheduled"] == 22
         assert stats["pending"] == 0
         assert stats["peak_heap_depth"] >= 2
         assert stats["now"] == 20.0
@@ -53,7 +54,7 @@ class TestKernelCounters:
         _two_process_sim(n=5)
         snap = counters.snapshot()
         assert snap["environments"] == 2
-        assert snap["events_executed"] == 2 * 14
+        assert snap["events_executed"] == 2 * 12
         assert snap["events_executed"] == snap["events_scheduled"]
 
     def test_reset_zeroes_everything(self):
@@ -75,8 +76,8 @@ class TestKernelCounters:
 
         env.process(proc(env))
         env.run()
-        assert env.perf_stats()["events_executed"] == 3
-        assert counters.events_executed == 3
+        assert env.perf_stats()["events_executed"] == 2
+        assert counters.events_executed == 2
 
 
 # ----------------------------------------------------------------------
@@ -188,9 +189,10 @@ class TestProfiler:
         pop_rows = [s for s in report.hotspots
                     if s.function.endswith("heappop")]
         assert pop_rows, "the queue's heappop must appear in the profile"
-        # 2 bootstraps + 30 + 30 timeouts + 2 process-end events; the
-        # loop tests the heap before popping, so there is no empty pop.
-        assert pop_rows[0].calls == 64
+        # 2 bootstraps + 30 + 30 timeouts (the waiter-less process ends
+        # are never queued); the loop tests the heap before popping, so
+        # there is no empty pop.
+        assert pop_rows[0].calls == 62
 
     def test_cprofile_attributes_processes(self):
         report = Profiler(mode="cprofile").profile(_two_process_sim, 30)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 
@@ -135,6 +136,111 @@ class TestTimeSeries:
             _series(base_width=0.0)
         with pytest.raises(ValueError):
             _series(base_width=math.inf)
+
+
+class _DoublingSeries(TimeSeries):
+    """Reference ladder: widen one level at a time, rebuilding the bins
+    on every doubling."""
+
+    def _shrink_to_budget(self):
+        while len(self._bins) > self.max_bins:
+            self._double()
+
+    def _rebin(self, level, keys=None):
+        while self.level < level:
+            self._double()
+
+    def _double(self):
+        merged = {}
+        for index, bin_ in self._bins.items():
+            into = merged.get(index // 2)
+            if into is None:
+                merged[index // 2] = list(bin_)
+            else:
+                into[0] += bin_[0]
+                into[1] += bin_[1]
+                if bin_[2] < into[2]:
+                    into[2] = bin_[2]
+                if bin_[3] > into[3]:
+                    into[3] = bin_[3]
+        self._bins = merged
+        self.level += 1
+
+
+def _random_samples(rng, n):
+    """Clustered and sparse times, some negative; values with signed
+    zeros (whose min/max depend on merge order) and awkward sums."""
+    samples = []
+    for _ in range(n):
+        t = rng.choice([rng.uniform(-3.0, 3.0), rng.uniform(0.0, 1e-4),
+                        rng.randrange(-40, 2000) * 0.37,
+                        rng.expovariate(0.01)])
+        v = rng.choice([0.0, -0.0, 0.1, rng.uniform(-1e6, 1e6),
+                        rng.random() * 1e-9])
+        samples.append((t, v))
+    return samples
+
+
+class TestOneStepRebin:
+    """Widening the bins in one step gives exactly the bins, floats and
+    iteration order of the one-level-at-a-time ladder."""
+
+    @staticmethod
+    def _state(series):
+        return (series.level, list(series._bins),
+                json.dumps(series.to_dict(), sort_keys=True))
+
+    def test_multi_level_rebin_sums_the_pairwise_tree(self):
+        # Merging a coarser series widens four unit bins three levels
+        # at once: the ladder adds (1 + e) + (e + e), where a
+        # left-to-right fold ((1 + e) + e) + e rounds differently.
+        e = 1e-16
+        for cls in (TimeSeries, _DoublingSeries):
+            fine = cls("s", {}, max_bins=4, base_width=1.0)
+            for t, v in ((0.0, 1.0), (1.0, e), (2.0, e), (3.0, e)):
+                fine.add(t, v)
+            coarse = cls("s", {}, max_bins=4, base_width=1.0)
+            for t in (16.0, 20.0, 24.0, 28.0, 32.0):
+                coarse.add(t, 0.0)
+            assert (fine.level, coarse.level) == (0, 3)
+            fine.merge_from(coarse)
+            assert fine.to_dict()["points"][0][2] == (1.0 + e) + (e + e)
+        assert (1.0 + e) + (e + e) != ((1.0 + e) + e) + e
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_add_matches_the_doubling_ladder(self, seed):
+        rng = random.Random(seed)
+        max_bins = rng.choice([2, 3, 8, 64])
+        fast, slow = _series(max_bins=max_bins), _DoublingSeries(
+            "s", {}, max_bins=max_bins)
+        for t, v in _random_samples(rng, 800):
+            fast.add(t, v)
+            slow.add(t, v)
+            assert fast.level == slow.level
+        assert self._state(fast) == self._state(slow)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_merge_matches_the_doubling_ladder(self, seed):
+        rng = random.Random(1000 + seed)
+        max_bins = rng.choice([4, 16, 64])
+        parts = []
+        for cls in (TimeSeries, _DoublingSeries):
+            part_rng = random.Random(seed)
+            series = []
+            for _ in range(4):
+                one = cls("s", {}, max_bins=max_bins)
+                for t, v in _random_samples(part_rng,
+                                            part_rng.randrange(1, 400)):
+                    one.add(t, v)
+                series.append(one)
+            parts.append(series)
+        for fast, slow in zip(*parts):
+            assert self._state(fast) == self._state(slow)
+        fast_total, slow_total = parts[0][0], parts[1][0]
+        for fast, slow in zip(parts[0][1:], parts[1][1:]):
+            fast_total.merge_from(fast)
+            slow_total.merge_from(slow)
+            assert self._state(fast_total) == self._state(slow_total)
 
 
 class TestProbeSpec:
