@@ -1,6 +1,7 @@
 """The CI ``parallel`` gate: fan-out must not change the science.
 
-Two assertions per heavyweight experiment (e3, e14, r1):
+Two assertions per heavyweight experiment (e3, e13, e14, r1; e13 puts
+the NoC's ``Traversal`` packets under the gate):
 
 1. **Equivalence** — a replicated run merged from 4 worker processes
    is byte-identical (after :meth:`ExperimentResult.strip_timings`)
@@ -37,7 +38,7 @@ import json
 from repro.parallel import FaultPlan, replica_seed, run_replicated
 
 #: The experiments whose published tables the gate protects.
-_GATED = ("e3", "e14", "r1")
+_GATED = ("e3", "e13", "e14", "r1")
 _REPLICAS = 3
 
 
@@ -47,6 +48,10 @@ def _stripped(result) -> str:
 
 def bench_parallel_equivalence_e3():
     _assert_equivalent("e3")
+
+
+def bench_parallel_equivalence_e13():
+    _assert_equivalent("e13")
 
 
 def bench_parallel_equivalence_e14():

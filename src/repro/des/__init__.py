@@ -34,6 +34,7 @@ from repro.des.events import (
     PENDING,
     Process,
     Timeout,
+    Traversal,
     URGENT,
 )
 from repro.des.monitor import LevelMonitor, Monitor
@@ -54,6 +55,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
+    "Traversal",
     "Interrupt",
     "Condition",
     "AnyOf",

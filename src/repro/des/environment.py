@@ -6,7 +6,7 @@ import math
 import weakref
 from heapq import heappop, heappush
 from itertools import count
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.des.events import (
     NORMAL,
@@ -15,6 +15,7 @@ from repro.des.events import (
     Event,
     Process,
     Timeout,
+    Traversal,
 )
 from repro.obs.context import active_metrics, active_probe, active_tracer
 
@@ -248,6 +249,15 @@ class Environment:
     def process(self, generator) -> Process:
         """Start a new process running ``generator``."""
         return Process(self, generator)
+
+    def traverse(self, path, hold: float, *, value: Any = None,
+                 name: str = "traverse",
+                 done: Callable[[Any, Any], None] | None = None
+                 ) -> Traversal:
+        """Start a :class:`~repro.des.events.Traversal` that holds each
+        resource of ``path`` in turn for ``hold`` time units."""
+        return Traversal(self, path, hold, value=value, name=name,
+                         done=done)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that fires when any of ``events`` succeeds."""

@@ -34,6 +34,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
+    "Traversal",
     "Interrupt",
     "Condition",
     "AnyOf",
@@ -195,9 +196,8 @@ class Process(Event):
     terminates, so processes can wait for each other by yielding the
     process object.  A normal end that no callback waits on is
     complete at once and never enters the event queue.  One process is
-    spawned per simulated activity (per packet in the NoC models), so
-    the constructor sets the event fields inline like :class:`Timeout`
-    does.
+    spawned per simulated activity, so :meth:`_start` sets the event
+    fields inline like :class:`Timeout` does.
     """
 
     __slots__ = ("_generator", "_name", "_trace_id", "_target")
@@ -207,26 +207,32 @@ class Process(Event):
                 not hasattr(generator, "send")
                 or not hasattr(generator, "throw")):
             raise TypeError(f"{generator!r} is not a generator")
+        self._generator = generator
+        try:
+            name = generator.__name__
+        except AttributeError:
+            name = str(generator)
+        self._start(env, name)
+
+    def _start(self, env: "Environment", name: str) -> None:
+        """Set the event fields, trace the start and queue the bootstrap.
+
+        The bootstrap is an urgent, already-successful event that
+        resumes the process for the first time at the current
+        simulation instant.
+        """
         self.env = env
         self.callbacks = []
         self._value = PENDING
         self._ok = None
         self._defused = False
-        self._generator = generator
-        try:
-            self._name = generator.__name__
-        except AttributeError:
-            self._name = str(generator)
+        self._name = name
         tracer = env._tracer
         if tracer is not None:
             self._trace_id = tracer.next_id()
-            tracer.emit(
-                env.now, "process-start", self._name, id=self._trace_id,
-            )
+            tracer.emit(env.now, "process-start", name, id=self._trace_id)
         else:
             self._trace_id = None
-        # Bootstrap: an urgent, already-successful event resumes the
-        # generator for the first time at the current simulation instant.
         init = Event.__new__(Event)
         init.env = env
         init.callbacks = [self._resume]
@@ -236,10 +242,40 @@ class Process(Event):
         env._schedule_fast(init, env._now, URGENT)
         self._target: Event | None = init
 
+    def _end(self, env: "Environment", value: Any) -> None:
+        """End successfully with ``value``.
+
+        The end is queued when a callback waits on it; otherwise it is
+        complete at once.
+        """
+        self._ok = True
+        self._value = value
+        if self._trace_id is not None and env._tracer is not None:
+            env._tracer.emit(
+                env._now, "process-end", self._name,
+                id=self._trace_id, ok=True,
+            )
+        if self.callbacks:
+            env._schedule_fast(self, env._now)
+        else:
+            self.callbacks = None
+
+    def _end_failed(self, env: "Environment", error: BaseException) -> None:
+        """End with ``error``; a failure is always queued."""
+        self._ok = False
+        self._value = error
+        if self._trace_id is not None and env._tracer is not None:
+            env._tracer.emit(
+                env._now, "process-end", self._name,
+                id=self._trace_id, ok=False,
+                error=type(error).__name__,
+            )
+        env._schedule_fast(self, env._now)
+
     @property
     def name(self) -> str:
-        """The wrapped generator's function name (cached: profilers
-        read it on every kernel step)."""
+        """The wrapped generator's function name, or a traversal's
+        ``name`` (cached: profilers read it on every kernel step)."""
         return self._name
 
     @property
@@ -281,29 +317,10 @@ class Process(Event):
                     event._defused = True
                     next_target = self._generator.throw(event._value)
             except StopIteration as stop:
-                self._ok = True
-                self._value = stop.value
-                if self._trace_id is not None and env._tracer is not None:
-                    env._tracer.emit(
-                        env._now, "process-end", self._name,
-                        id=self._trace_id, ok=True,
-                    )
-                if self.callbacks:
-                    env._schedule_fast(self, env._now)
-                else:
-                    # Nobody waits on this end: it is complete now.
-                    self.callbacks = None
+                self._end(env, stop.value)
                 break
             except BaseException as error:
-                self._ok = False
-                self._value = error
-                if self._trace_id is not None and env._tracer is not None:
-                    env._tracer.emit(
-                        env._now, "process-end", self._name,
-                        id=self._trace_id, ok=False,
-                        error=type(error).__name__,
-                    )
-                env._schedule_fast(self, env._now)
+                self._end_failed(env, error)
                 break
 
             if not isinstance(next_target, Event):
@@ -327,9 +344,95 @@ class Process(Event):
         env._active_process = None
 
     def __repr__(self) -> str:
-        name = getattr(self._generator, "__name__", str(self._generator))
         state = "alive" if self.is_alive else "dead"
-        return f"<Process {name} {state}>"
+        return f"<{type(self).__name__} {self._name} {state}>"
+
+
+class Traversal(Process):
+    """A process that holds each resource of a path in turn.
+
+    Does what the generator process
+
+    .. code-block:: python
+
+        for resource in path:
+            with resource.request() as claim:
+                yield claim
+                yield env.timeout(hold)
+        done(value, path)
+        return value
+
+    does, with the same events in the same order, the same resource
+    metrics and the same trace records, but as a callback state
+    machine: no generator, and one ``_resume`` call per event.  It is
+    the store-and-forward packet of the NoC models.
+
+    ``path`` is a sequence of resources, or a zero-argument callable
+    that returns one at the first step (so an error in computing it
+    fails the traversal, not its creation).  ``done``, if given, is
+    called as ``done(value, path)`` after the last release.  An error
+    or :class:`Interrupt` releases or withdraws the current claim and
+    fails the traversal.
+    """
+
+    __slots__ = ("_path", "_hold", "_result", "_done", "_claim", "_index")
+
+    def __init__(self, env: "Environment", path, hold: float, *,
+                 value: Any = None, name: str = "traverse",
+                 done: Callable[[Any, Any], None] | None = None):
+        self._path = path
+        self._hold = hold
+        self._result = value
+        self._done = done
+        self._claim = None
+        self._index = 0
+        self._start(env, name)
+
+    def _resume(self, event: Event) -> None:
+        """Take one step: start, release after a hold and claim the next
+        resource, or hold after a grant."""
+        env = self.env
+        env._active_process = self
+        claim = self._claim
+        try:
+            if not event._ok:
+                event._defused = True
+                raise event._value
+            if event is not claim:
+                if claim is None:
+                    path = self._path
+                    if callable(path):
+                        path = self._path = path()
+                    index = 0
+                else:
+                    claim.resource.release(claim)
+                    path = self._path
+                    index = self._index + 1
+                if index == len(path):
+                    self._claim = None
+                    if self._done is not None:
+                        self._done(self._result, path)
+                    self._end(env, self._result)
+                    return
+                self._claim = claim = path[index].request()
+                self._index = index
+                if claim.callbacks is not None:
+                    claim.callbacks.append(self._resume)
+                    self._target = claim
+                    return
+            # Granted, in place or from the queue: hold the resource.
+            timeout = Timeout(env, self._hold)
+            timeout.callbacks.append(self._resume)
+            self._target = timeout
+        except BaseException as error:
+            # As in Process._resume: the failure is queued and, unless
+            # a waiter handles it, raises from run().
+            claim = self._claim
+            if claim is not None:
+                claim.resource.release(claim)
+            self._end_failed(env, error)
+        finally:
+            env._active_process = None
 
 
 class Condition(Event):

@@ -109,16 +109,18 @@ class Resource:
         self.name = name
         self.users: list[Request] = []
         self.queue: list[Request] = []
-        # Metric handles, resolved once; anonymous resources share the
-        # label "resource" (their wait times aggregate).
+        # Metric handles, resolved once.  Anonymous resources share the
+        # label "resource": their wait times and grants aggregate, but
+        # a shared queue-length gauge would only show the queue of
+        # whichever one granted last, so they get none.
         registry = metrics if metrics is not None \
             else getattr(env, "metrics", None)
         if registry is not None:
             label = name or "resource"
             self._m_wait = registry.histogram(
                 "resource_wait_time", resource=label)
-            self._m_queue = registry.gauge(
-                "resource_queue_len", resource=label)
+            self._m_queue = (None if name is None else registry.gauge(
+                "resource_queue_len", resource=label))
             self._m_grants = registry.counter(
                 "resource_grants", resource=label)
         else:
@@ -169,11 +171,13 @@ class Resource:
             self.queue.append(request)
 
     def _note_grant(self, request: Request, pending: int) -> None:
-        """Record wait time and queue length for a fresh grant."""
+        """Record wait time and, on a named resource, queue length for a
+        fresh grant."""
         now = self.env._now
         self._m_wait.observe(now - request._requested_at)
         self._m_grants.inc()
-        self._m_queue.set(pending, now)
+        if self._m_queue is not None:
+            self._m_queue.set(pending, now)
 
     def _grant_next(self) -> None:
         queue = self.queue

@@ -839,7 +839,8 @@ def _e12(ctx: RunContext):
     from repro.noc import bus_vs_noc_sweep
 
     tiles = (4, 8, 16, 32)
-    pairs = bus_vs_noc_sweep(tile_counts=tiles, rate_per_tile=20_000.0)
+    pairs = bus_vs_noc_sweep(tile_counts=tiles, rate_per_tile=20_000.0,
+                             seed=ctx.seed)
     scaling = ctx.table(
         ["tiles", "offered_Gbps", "bus_saturation", "bus_latency_us",
          "noc_saturation", "noc_latency_us"],

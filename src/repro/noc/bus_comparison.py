@@ -87,17 +87,18 @@ def simulate_bus_fabric(
     events = _traffic_schedule(n_tiles, packet_bits, rate_per_tile,
                                horizon, seed)
 
-    def sender(at, _src, _dst):
-        yield env.timeout(at)
-        created = env.now
-        with bus.request() as claim:
-            yield claim
-            yield env.timeout(packet_bits / bus_bandwidth)
+    hold = packet_bits / bus_bandwidth
+
+    def delivered(created, _path):
         latency.add(env.now - created)
         delivered_bits[0] += packet_bits
 
-    for at, src, dst in events:
-        env.process(sender(at, src, dst))
+    def sender(_arrival):
+        env.traverse((bus,), hold, value=env.now, name="sender",
+                     done=delivered)
+
+    for at, _src, _dst in events:
+        env.timeout(at).callbacks.append(sender)
     env.run(until=horizon)
 
     offered = len(events) * packet_bits / horizon
@@ -134,14 +135,13 @@ def simulate_noc_fabric(
     events = _traffic_schedule(n_tiles, packet_bits, rate_per_tile,
                                horizon, seed)
 
-    def sender(at, src, dst):
-        yield env.timeout(at)
-        packet = network.new_packet(tiles[src], tiles[dst],
-                                    payload_bits=packet_bits)
-        network.send(packet)
+    def sender(arrival):
+        src, dst = arrival.value
+        network.send(network.new_packet(tiles[src], tiles[dst],
+                                        payload_bits=packet_bits))
 
     for at, src, dst in events:
-        env.process(sender(at, src, dst))
+        env.timeout(at, (src, dst)).callbacks.append(sender)
     env.run(until=horizon)
 
     stats = network.stats

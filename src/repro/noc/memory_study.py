@@ -91,13 +91,11 @@ def simulate_memory_traffic(
                 continue
             packet = network.new_packet(tile, target,
                                         payload_bits=access_bits)
-            process = network.send(packet)
 
-            def recorder(process=process, created=env.now):
-                yield process
+            def arrived(_transfer, created=env.now):
                 latency.add(env.now - created)
 
-            env.process(recorder())
+            network.send(packet).callbacks.append(arrived)
 
     for tile, target in memory_of.items():
         env.process(issuer(tile, target))

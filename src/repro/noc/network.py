@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
-from repro.des import Environment, Resource
+from repro.des import Environment, Resource, Traversal
 from repro.noc.energy import NocEnergyModel
 from repro.noc.routing import route_links, xy_route
 from repro.noc.topology import Mesh2D, Tile
@@ -149,39 +150,34 @@ class NocNetwork:
             created=self.env.now, message_id=message_id,
         )
 
-    def send(self, packet: NocPacket):
-        """Start the transfer process for ``packet``; returns it.
+    def send(self, packet: NocPacket) -> Traversal:
+        """Start the ``"transfer"`` traversal of ``packet``; returns it.
 
-        Yield the returned process to wait for delivery (its value is
+        Yield the returned traversal to wait for delivery (its value is
         the packet).
         """
-
-        def transfer():
-            # Looked up inside the process body, so an off-mesh
-            # endpoint fails the process at its first step.
-            links = self._paths.get((packet.src, packet.dst))
-            if links is None:
-                links = self._route_links(packet.src, packet.dst)
-            hold = (self.router_latency
-                    + packet.size_bits / self.link_bandwidth)
-            env = self.env
-            for link in links:
-                with link.request() as claim:
-                    yield claim
-                    yield env.timeout(hold)
-            self._account(packet, len(links))
-            return packet
-
-        return self.env.process(transfer())
+        links = self._paths.get((packet.src, packet.dst))
+        if links is None:
+            # Routed at the first step, so an off-mesh endpoint fails
+            # the transfer rather than this call.
+            links = partial(self._route_links, packet.src, packet.dst)
+        hold = self.router_latency + packet.size_bits / self.link_bandwidth
+        return self.env.traverse(links, hold, value=packet,
+                                 name="transfer", done=self._account)
 
     def _route_links(self, src: Tile, dst: Tile) -> tuple[Resource, ...]:
-        """Route ``src -> dst`` and cache the link resources it crosses."""
-        path = self.route(self.mesh, src, dst)
-        links = tuple(self._links[link] for link in route_links(path))
-        self._paths[(src, dst)] = links
+        """The link resources ``src -> dst`` crosses, routed and cached
+        on first use."""
+        links = self._paths.get((src, dst))
+        if links is None:
+            path = self.route(self.mesh, src, dst)
+            links = tuple(self._links[link] for link in route_links(path))
+            self._paths[(src, dst)] = links
         return links
 
-    def _account(self, packet: NocPacket, hops: int) -> None:
+    def _account(self, packet: NocPacket,
+                 links: tuple[Resource, ...]) -> None:
+        hops = len(links)
         self.stats.delivered += 1
         self.stats.payload_bits += packet.payload_bits
         self.stats.total_bits += packet.size_bits

@@ -127,12 +127,11 @@ def run_packet_size_trial(
                 sends.append(network.send(packet))
             message_counter += 1
 
-            def waiter(sends=sends, created=created):
-                yield env.all_of(sends)
+            def arrived(_all, created=created):
                 message_latency.add(env.now - created)
                 delivered[0] += 1
 
-            env.process(waiter())
+            env.all_of(sends).callbacks.append(arrived)
 
     for flow_id, flow in enumerate(flows):
         env.process(flow_proc(flow, flow_id))

@@ -152,6 +152,29 @@ class TestResource:
             "time_mean": 0.5}
 
 
+    def test_queue_gauge_only_for_named_resources(self):
+        # Anonymous resources share one label, so a shared gauge would
+        # show whichever queue granted last; they report none, but
+        # their waits and grants still aggregate.
+        registry = MetricRegistry()
+        env = Environment(metrics=registry)
+        links = [Resource(env, capacity=1) for _ in range(2)]
+        links.append(Resource(env, capacity=1, name="bus"))
+        log = []
+        for link in links:
+            for name in ("a", "b"):
+                make_job(env, link, log, name, 1)
+        env.run()
+        snapshot = registry.snapshot()
+        assert "resource_queue_len{resource=resource}" not in snapshot
+        assert snapshot["resource_grants{resource=resource}"]["value"] \
+            == 4.0
+        assert snapshot["resource_wait_time{resource=resource}"][
+            "count"] == 4
+        assert snapshot["resource_queue_len{resource=bus}"]["kind"] \
+            == "gauge"
+
+
 class TestPriorityResource:
     def test_priority_order(self):
         env = Environment()

@@ -62,6 +62,11 @@ class TestRun:
         # A different seed must actually reach the RNG streams.
         assert shifted.metrics != base.metrics
 
+    def test_e12_honours_its_seed(self):
+        tables = [experiments.run("e12", seed=seed).tables[0].rows
+                  for seed in (0, 1)]
+        assert tables[0] != tables[1]
+
     def test_trace_is_observational(self):
         plain = experiments.run("f1")
         traced = experiments.run("f1", trace=True)
