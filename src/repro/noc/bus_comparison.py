@@ -26,6 +26,9 @@ from repro.utils.stats import SummaryStats
 __all__ = ["FabricResult", "simulate_bus_fabric", "simulate_noc_fabric",
            "bus_vs_noc_sweep"]
 
+#: Default bus and link bandwidth (bit/s): both fabrics run at one speed.
+_BANDWIDTH = 2e9
+
 
 @dataclass
 class FabricResult:
@@ -46,13 +49,15 @@ class FabricResult:
         return self.delivered_bps / self.offered_bps
 
 
-def _traffic_schedule(n_tiles: int, packet_bits: float,
-                      rate_per_tile: float, horizon: float, seed: int):
+def _traffic_schedule(n_tiles: int, rate_per_tile: float,
+                      horizon: float, seed: int):
     """Per-tile Poisson packet processes to uniform random targets.
 
     Returns a list of (time, src_index, dst_index) tuples, shared by
     both fabrics so the comparison sees identical load.
     """
+    if n_tiles < 2:
+        raise ValueError("need at least two tiles")
     rng = spawn_rng(seed, "fabric-traffic")
     events = []
     for src in range(n_tiles):
@@ -73,20 +78,21 @@ def simulate_bus_fabric(
     n_tiles: int,
     packet_bits: float = 8_192.0,
     rate_per_tile: float = 10_000.0,
-    bus_bandwidth: float = 2e9,
+    bus_bandwidth: float = _BANDWIDTH,
     horizon: float = 0.02,
     seed: int = 0,
 ) -> FabricResult:
     """All packets arbitrate for one shared bus."""
-    if n_tiles < 2:
-        raise ValueError("need at least two tiles")
+    events = _traffic_schedule(n_tiles, rate_per_tile, horizon, seed)
+    return _run_bus(n_tiles, events, packet_bits, bus_bandwidth, horizon)
+
+
+def _run_bus(n_tiles: int, events, packet_bits: float,
+             bus_bandwidth: float, horizon: float) -> FabricResult:
     env = Environment()
     bus = Resource(env, capacity=1)
     latency = SummaryStats("bus-latency")
     delivered_bits = [0.0]
-    events = _traffic_schedule(n_tiles, packet_bits, rate_per_tile,
-                               horizon, seed)
-
     hold = packet_bits / bus_bandwidth
 
     def delivered(created, _path):
@@ -116,14 +122,18 @@ def simulate_noc_fabric(
     n_tiles: int,
     packet_bits: float = 8_192.0,
     rate_per_tile: float = 10_000.0,
-    link_bandwidth: float = 2e9,
+    link_bandwidth: float = _BANDWIDTH,
     horizon: float = 0.02,
     seed: int = 0,
 ) -> FabricResult:
     """The same traffic over a (near-)square mesh of the same link
     speed; transactions on disjoint routes proceed in parallel."""
-    if n_tiles < 2:
-        raise ValueError("need at least two tiles")
+    events = _traffic_schedule(n_tiles, rate_per_tile, horizon, seed)
+    return _run_noc(n_tiles, events, packet_bits, link_bandwidth, horizon)
+
+
+def _run_noc(n_tiles: int, events, packet_bits: float,
+             link_bandwidth: float, horizon: float) -> FabricResult:
     width = int(math.ceil(math.sqrt(n_tiles)))
     height = int(math.ceil(n_tiles / width))
     mesh = Mesh2D(width, height)
@@ -132,8 +142,6 @@ def simulate_noc_fabric(
     env = Environment()
     network = NocNetwork(env, mesh, link_bandwidth=link_bandwidth,
                          router_latency=10e-9)
-    events = _traffic_schedule(n_tiles, packet_bits, rate_per_tile,
-                               horizon, seed)
 
     def sender(arrival):
         src, dst = arrival.value
@@ -158,11 +166,22 @@ def simulate_noc_fabric(
 
 def bus_vs_noc_sweep(
     tile_counts=(4, 8, 16, 32),
-    **kwargs,
+    *,
+    packet_bits: float = 8_192.0,
+    rate_per_tile: float = 10_000.0,
+    horizon: float = 0.02,
+    seed: int = 0,
 ) -> list[tuple[FabricResult, FabricResult]]:
-    """Run both fabrics at each system size; returns (bus, noc) pairs."""
-    return [
-        (simulate_bus_fabric(n, **kwargs),
-         simulate_noc_fabric(n, **kwargs))
-        for n in tile_counts
-    ]
+    """Run both fabrics at each system size; returns (bus, noc) pairs.
+
+    Each size's traffic is drawn once and replayed on both fabrics,
+    each at the default bandwidth.
+    """
+    pairs = []
+    for n in tile_counts:
+        events = _traffic_schedule(n, rate_per_tile, horizon, seed)
+        pairs.append((
+            _run_bus(n, events, packet_bits, _BANDWIDTH, horizon),
+            _run_noc(n, events, packet_bits, _BANDWIDTH, horizon),
+        ))
+    return pairs

@@ -28,7 +28,7 @@ from typing import Mapping as TMapping
 from repro.core.application import TaskGraph
 from repro.noc.energy import NocEnergyModel
 from repro.noc.topology import Mesh2D, Tile
-from repro.utils.rng import spawn_rng
+from repro.utils.rng import RawDraws, spawn_rng
 
 __all__ = [
     "NocMapping",
@@ -179,7 +179,11 @@ def _table_energy(edges: list[tuple[int, int, float]],
                   slot_of: list[int]) -> float:
     """Communication energy of the placement ``slot_of[task] = slot``
     over ``(src, dst, bits)`` task-index edges: the same floats, summed
-    in the same order, as :meth:`NocMapping.communication_energy`."""
+    in the same order, as :meth:`NocMapping.communication_energy`.
+
+    SA sums the same products from per-edge tables it precomputes;
+    this plain form stays as the reference the equivalence tests
+    check."""
     return sum(
         bits * pair_energy[slot_of[a]][slot_of[b]] for a, b, bits in edges
     )
@@ -349,17 +353,25 @@ def simulated_annealing_mapping(
         return ok
 
     name_index = {n: i for i, n in enumerate(names)}
-    edges = [
-        (name_index[src], name_index[dst], bits)
+    pair_energy = _pair_energy(mesh, tiles, energy)
+    # One table per edge holding the products `bits * pair_energy[a][b]`
+    # that `_table_energy` forms, so `edge_energy` sums the same floats
+    # in the same order without a multiply per edge.
+    edge_tables = [
+        (name_index[src], name_index[dst],
+         [[bits * e for e in row] for row in pair_energy])
         for src, dst, bits in tg.communication_pairs()
     ]
-    pair_energy = _pair_energy(mesh, tiles, energy)
     # slot_of[task]: the slot (tile index) hosting task; the inverse
     # of `slots`, kept in step with every swap and undo.
     slot_of = [0] * len(names)
     for slot, task in enumerate(slots):
         if task >= 0:
             slot_of[task] = slot
+
+    def edge_energy() -> float:
+        return sum([table[slot_of[a]][slot_of[b]]
+                    for a, b, table in edge_tables])
 
     def swap(i: int, j: int) -> None:
         slots[i], slots[j] = slots[j], slots[i]
@@ -372,7 +384,7 @@ def simulated_annealing_mapping(
     # incident-edge delta: `current` then rounds exactly as a fresh
     # evaluation, so `delta <= 0` (and with it the RNG stream) never
     # shifts.
-    current = _table_energy(edges, pair_energy, slot_of)
+    current = edge_energy()
     best_slots = slots[:]
     best_cost = current
 
@@ -380,16 +392,22 @@ def simulated_annealing_mapping(
         initial_temperature = max(current * 0.1, 1e-18)
     temperature = initial_temperature
 
+    # The loop owns `rng` from here on: the same draws as
+    # `rng.integers(0, n_tiles, size=2)` and `rng.random()`.
+    draws = RawDraws(rng)
+    below, uniform = draws.below, draws.random
+    n_tiles = len(tiles)
     for _ in range(n_iterations):
-        i, j = rng.integers(0, len(tiles), size=2)
+        i = below(n_tiles)
+        j = below(n_tiles)
         if i == j or (slots[i] < 0 and slots[j] < 0):
             continue
         if not move_allowed(i, j):
             continue
         swap(i, j)
-        candidate = _table_energy(edges, pair_energy, slot_of)
+        candidate = edge_energy()
         delta = candidate - current
-        if delta <= 0 or rng.random() < math.exp(
+        if delta <= 0 or uniform() < math.exp(
                 -delta / max(temperature, 1e-30)):
             current = candidate
             if current < best_cost:

@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["RandomStreams", "spawn_rng", "derive_seed"]
+__all__ = ["RandomStreams", "RawDraws", "spawn_rng", "derive_seed"]
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -37,6 +37,90 @@ _seed_for = derive_seed
 def spawn_rng(master_seed: int, name: str) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for stream ``name``."""
     return np.random.default_rng(_seed_for(master_seed, name))
+
+
+_RAW_CHUNK = 1024
+_TWO_TO_MINUS_53 = 2.0 ** -53
+
+
+class RawDraws:
+    """Scalar draws read straight off a generator's raw 64-bit stream.
+
+    ``below(n)`` returns what ``int(rng.integers(0, n))`` would return
+    and ``random()`` what ``rng.random()`` would, value for value and in
+    the same order, but without numpy's per-call argument handling,
+    which costs more than the draw itself in a tight Python loop.
+    ``below`` is numpy's buffered Lemire algorithm on the 32-bit halves
+    of the raw words, starting from the generator's pending half;
+    ``random`` is ``(word >> 11) * 2**-53``.  Both hold for the PCG64
+    generators that :func:`spawn_rng` hands out.
+
+    Raw words are fetched ``_RAW_CHUNK`` at a time, so the generator
+    ends up to one chunk past the last value drawn.  Use this only in
+    a loop that owns ``rng`` and never draws from it again.
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> draws = RawDraws(np.random.default_rng(5))
+    >>> twin = np.random.default_rng(5)
+    >>> [draws.below(20), draws.random()] == [int(twin.integers(0, 20)),
+    ...                                       twin.random()]
+    True
+    """
+
+    __slots__ = ("_raw", "_words", "_pos", "_half")
+
+    def __init__(self, rng: np.random.Generator):
+        bit_generator = rng.bit_generator
+        state = bit_generator.state
+        if state["bit_generator"] != "PCG64":
+            raise TypeError(
+                f"RawDraws needs a PCG64 generator, got "
+                f"{state['bit_generator']}"
+            )
+        self._raw = bit_generator.random_raw
+        self._words: list[int] = []
+        self._pos = 0
+        # numpy's pending upper half of a word whose lower half an
+        # earlier 32-bit draw already used.
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def _word(self) -> int:
+        pos = self._pos
+        words = self._words
+        if pos == len(words):
+            words = self._words = self._raw(_RAW_CHUNK).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return words[pos]
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def below(self, n: int) -> int:
+        """``int(rng.integers(0, n))`` for ``1 <= n < 2**32``."""
+        if not 1 <= n < 1 << 32:
+            raise ValueError(f"n must satisfy 1 <= n < 2**32, got {n}")
+        if n == 1:
+            return 0  # numpy draws nothing for a one-value range
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = ((1 << 32) - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def random(self) -> float:
+        """``rng.random()``: a float64 uniform on ``[0, 1)``."""
+        return (self._word() >> 11) * _TWO_TO_MINUS_53
+
 
 
 class RandomStreams:

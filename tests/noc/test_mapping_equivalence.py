@@ -229,6 +229,41 @@ class TestSearchesMatchOracle:
                              compatibility)
         assert mapping.assignment == expected
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([(3, 3), (4, 3), (4, 4)]), st.integers(2, 9),
+           st.integers(0, 2**16), st.integers(0, 3), st.booleans(),
+           st.sampled_from([0.95, 0.99, 0.999]))
+    def test_simulated_annealing_e3_meshes(self, shape, n_tasks, seed,
+                                           n_constrained, constrained,
+                                           cooling):
+        # e3's own mesh shapes; 3x3 fits at most nine tasks.
+        mesh = Mesh2D(*shape)
+        tg = random_multimedia_apcg(n_tasks, seed=seed)
+        compatibility = (half_mesh_compatibility(tg, mesh, seed,
+                                                 n_constrained)
+                         if constrained else None)
+        energy = NocEnergyModel()
+        mapping = simulated_annealing_mapping(
+            tg, mesh, energy=energy, seed=seed, n_iterations=400,
+            cooling=cooling, compatibility=compatibility,
+        )
+        expected = oracle_sa(tg, mesh, energy, seed, 400, cooling,
+                             compatibility)
+        assert mapping.assignment == expected
+
+    def test_simulated_annealing_past_one_raw_chunk(self):
+        # 3,000 moves draw well over one 1,024-word chunk of the raw
+        # stream, at a cooling slow enough to keep accepting uphill.
+        mesh = Mesh2D(4, 4)
+        tg = random_multimedia_apcg(10, seed=7)
+        energy = NocEnergyModel()
+        mapping = simulated_annealing_mapping(
+            tg, mesh, energy=energy, seed=7, n_iterations=3_000,
+            cooling=0.999,
+        )
+        expected = oracle_sa(tg, mesh, energy, 7, 3_000, 0.999, None)
+        assert mapping.assignment == expected
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 12), st.integers(0, 2**16),
            st.integers(0, 6), st.booleans())
