@@ -273,10 +273,10 @@ def _e2(ctx: RunContext):
         hurst.add_row(list(row))
 
     lags = [1, 5, 10, 50, 100]
-    acfs = {
-        name: [autocorrelation(trace, 100)[lag] for lag in lags]
-        for name, trace in traces.items()
-    }
+    acfs = {}
+    for name, trace in traces.items():
+        rho = autocorrelation(trace, lags[-1])
+        acfs[name] = [rho[lag] for lag in lags]
     acf = ctx.table(
         ["trace"] + [f"lag{lag}" for lag in lags],
         title="E2b: autocorrelation decay (power-law vs. exponential)",

@@ -74,18 +74,31 @@ class MMPP2:
         """Per-slot arrival counts over ``n_slots`` slots."""
         if n_slots < 0:
             raise ValueError("n_slots must be non-negative")
-        counts = np.empty(n_slots)
         high = self._rng.random() < self.stationary_high_fraction()
         switch_draws = self._rng.random(n_slots)
-        for t in range(n_slots):
-            rate = self.rate_high if high else self.rate_low
-            counts[t] = self._rng.poisson(rate)
-            if high:
-                if switch_draws[t] < self.p_hl:
-                    high = False
-            elif switch_draws[t] < self.p_lh:
-                high = True
-        return counts
+        rates = np.where(self._state_path(high, switch_draws),
+                         self.rate_high, self.rate_low)
+        return self._rng.poisson(rates).astype(float)
+
+    def _state_path(self, high: bool,
+                    switch_draws: np.ndarray) -> np.ndarray:
+        """Whether each slot is HIGH, from the initial state and the
+        per-slot switch uniforms.
+
+        Leaving slot ``t`` sets the state when only one of the two
+        switch tests passes on ``switch_draws[t]``, toggles it when
+        both do and keeps it when neither does.  So each slot's state
+        is the value set last before it, flipped once per toggle since.
+        """
+        n = switch_draws.size
+        to_high = switch_draws[:-1] < self.p_lh
+        to_low = switch_draws[:-1] < self.p_hl
+        is_set = np.concatenate(([True], to_high != to_low))[:n]
+        value = np.concatenate(([high], to_high))[:n]
+        toggles = np.cumsum(np.concatenate(([0], to_high & to_low))[:n])
+        last_set = np.maximum.accumulate(np.where(is_set, np.arange(n), 0))
+        flipped = (toggles - toggles[last_set]) % 2 == 1
+        return value[last_set] != flipped
 
 
 def mmpp2_trace(n_slots: int, mean_rate: float, burstiness: float = 5.0,

@@ -32,13 +32,34 @@ def pareto_sojourns(
     Uses the Lomax-free classical Pareto with location
     x_m = mean·(α−1)/α, which exists only for α > 1.
     """
-    if alpha <= 1.0:
-        raise ValueError("alpha must exceed 1 for a finite mean")
+    _check_alpha(alpha)
     if mean <= 0:
         raise ValueError("mean must be positive")
+    return _pareto(rng.random(size), alpha, mean)
+
+
+def _check_alpha(alpha: float) -> None:
+    if alpha <= 1.0:
+        raise ValueError("alpha must exceed 1 for a finite mean")
+
+
+def _pareto(u: np.ndarray, alpha: float, mean: float) -> np.ndarray:
+    """The Pareto sojourns of uniforms ``u`` (inverse transform); the
+    one formula behind ``pareto_sojourns`` and ``OnOffSource``."""
     x_m = mean * (alpha - 1.0) / alpha
-    u = rng.random(size)
     return x_m / u ** (1.0 / alpha)
+
+
+#: Most uniforms one ``activity`` chunk draws; bounds its memory when
+#: the mean sojourns are far below one slot.
+_CHUNK = 1 << 16
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The integers of every ``[lo[i], hi[i])``, concatenated in order."""
+    lengths = hi - lo
+    starts = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(lo - starts, lengths)
 
 
 class OnOffSource:
@@ -64,6 +85,8 @@ class OnOffSource:
         seed: int = 0,
         name: str = "onoff0",
     ):
+        _check_alpha(alpha_on)
+        _check_alpha(alpha_off)
         if mean_on <= 0 or mean_off <= 0 or peak_rate <= 0:
             raise ValueError("means and rate must be positive")
         self.alpha_on = alpha_on
@@ -79,39 +102,73 @@ class OnOffSource:
         return self.peak_rate * duty
 
     def activity(self, n_slots: int) -> np.ndarray:
-        """Per-slot work over ``n_slots`` slots (fractional at edges)."""
+        """Per-slot work over ``n_slots`` slots (fractional at edges).
+
+        Periods alternate ON and OFF from a random initial phase until
+        one ends at or beyond ``n_slots``.  Their sojourns are drawn a
+        chunk at a time; the generator is then set to where drawing
+        them one by one would have left it.
+        """
         if n_slots < 0:
             raise ValueError("n_slots must be non-negative")
+        rng = self._rng
         work = np.zeros(n_slots)
-        t = 0.0
         # Random initial phase: start OFF with probability 1-duty.
-        on = self._rng.random() < self.mean_on / (
-            self.mean_on + self.mean_off
-        )
+        on = rng.random() < self.mean_on / (self.mean_on + self.mean_off)
+        state = rng.bit_generator.state
+        drawn = 0
+        t = 0.0
+        mean_period = (self.mean_on + self.mean_off) / 2.0
+        on_off = ((self.alpha_on, self.mean_on),
+                  (self.alpha_off, self.mean_off))
         while t < n_slots:
-            if on:
-                duration = float(pareto_sojourns(
-                    self._rng, self.alpha_on, self.mean_on, 1
-                )[0])
-                start, end = t, min(t + duration, n_slots)
-                first = int(start)
-                stop = min(int(np.ceil(end)), n_slots)
-                # Only the first and last slot can be partly covered;
-                # every slot in between overlaps the period by exactly
-                # 1.0 and takes the full peak rate.
-                for slot in {first, stop - 1}:
-                    if first <= slot < stop:
-                        overlap = min(end, slot + 1) - max(start, slot)
-                        if overlap > 0:
-                            work[slot] += overlap * self.peak_rate
-                work[first + 1:stop - 1] += self.peak_rate
-                t += duration
-            else:
-                t += float(pareto_sojourns(
-                    self._rng, self.alpha_off, self.mean_off, 1
-                )[0])
-            on = not on
+            # Enough periods to cover the rest at the mean, with a
+            # margin; a chunk that falls short is followed by another.
+            size = min(_CHUNK, int((n_slots - t) / mean_period * 1.25) + 16)
+            u = rng.random(size)
+            even, odd = on_off if on else on_off[::-1]
+            durations = np.empty(size)
+            durations[0::2] = _pareto(u[0::2], *even)
+            durations[1::2] = _pareto(u[1::2], *odd)
+            # cumsum adds in order, exactly as ``t += duration`` does.
+            durations[0] += t
+            ends = np.cumsum(durations)
+            ends = ends[:np.searchsorted(ends, n_slots) + 1]
+            starts = np.concatenate(([t], ends[:-1]))
+            first_on = 0 if on else 1
+            self._fill(work, starts[first_on::2], ends[first_on::2])
+            drawn += ends.size
+            t = ends[-1]
+            on ^= bool(ends.size % 2)
+        # The generator only ever serves ``random()``, so it has no
+        # pending 32-bit half for ``advance`` to drop.
+        rng.bit_generator.state = state
+        rng.bit_generator.advance(drawn)
         return work
+
+    def _fill(self, work: np.ndarray, starts: np.ndarray,
+              ends: np.ndarray) -> None:
+        """Add the ON periods ``[starts[i], ends[i])``, in order and cut
+        at the horizon, to ``work``."""
+        n_slots = work.size
+        ends = np.minimum(ends, n_slots)
+        first = starts.astype(np.int64)
+        stop = np.minimum(np.ceil(ends).astype(np.int64), n_slots)
+        last = stop - 1
+        # Every slot strictly between a period's first and last slot
+        # lies inside it, so no other period touches it.
+        inner = last > first + 1
+        work[_ranges(first[inner] + 1, last[inner])] = self.peak_rate
+        # First and last slots are partly covered and can be shared by
+        # several short periods, so their overlaps add in period order.
+        # A zero-length period adds 0.0 to its first slot: no change.
+        overlaps = np.stack([
+            np.minimum(ends, first + 1) - np.maximum(starts, first),
+            np.minimum(ends, stop) - np.maximum(starts, last),
+        ], axis=1)
+        slots = np.stack([first, last], axis=1)
+        keep = np.stack([np.ones_like(inner), last > first], axis=1)
+        np.add.at(work, slots[keep], overlaps[keep] * self.peak_rate)
 
 
 def aggregate_onoff_trace(
@@ -130,6 +187,8 @@ def aggregate_onoff_trace(
     """
     if n_sources < 1:
         raise ValueError("n_sources must be >= 1")
+    if n_slots < 0:
+        raise ValueError("n_slots must be non-negative")
     total = np.zeros(n_slots)
     for i in range(n_sources):
         source = OnOffSource(

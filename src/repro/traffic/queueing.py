@@ -30,11 +30,12 @@ class TraceQueueResult:
     occupancies: np.ndarray
 
     def survival(self, levels) -> np.ndarray:
-        """P[Q > level] for each requested level."""
+        """P[Q > level] for each requested level (``nan`` for an
+        empty trace)."""
         levels = np.asarray(levels, dtype=float)
         n = self.occupancies.size
         return np.array([
-            float((self.occupancies > level).sum()) / n
+            float((self.occupancies > level).sum()) / n if n else math.nan
             for level in levels
         ])
 
@@ -52,13 +53,15 @@ def simulate_trace_queue(
     Parameters
     ----------
     trace:
-        Work arriving in each slot (any non-negative array).
+        Work arriving in each slot (finite and non-negative).
     service_per_slot:
         Server capacity per slot.
     buffer_size:
         Queue capacity in work units (inf = lossless).
     """
-    arrivals = np.asarray(trace, dtype=float)
+    arrivals = np.ascontiguousarray(trace, dtype=float)
+    if not np.isfinite(arrivals).all():
+        raise ValueError("trace must be finite")
     if (arrivals < 0).any():
         raise ValueError("trace must be non-negative")
     if service_per_slot <= 0:
@@ -68,18 +71,28 @@ def simulate_trace_queue(
 
     n = arrivals.size
     occupancies = np.empty(n)
+    # The recursion runs on Python floats read from and written to the
+    # arrays' buffers: the same float64 arithmetic as numpy scalars,
+    # without a numpy scalar per slot.
+    out = memoryview(occupancies)
+    service = float(service_per_slot)
+    capacity = float(buffer_size)
     q = 0.0
     lost = 0.0
     busy = 0.0
-    for t in range(n):
-        q += arrivals[t]
-        if q > buffer_size:
-            lost += q - buffer_size
-            q = buffer_size
-        drained = min(q, service_per_slot)
-        busy += drained
-        q -= drained
-        occupancies[t] = q
+    for t, work in enumerate(memoryview(arrivals)):
+        q += work
+        if q > capacity:
+            lost += q - capacity
+            q = capacity
+        # Drain min(q, service); q - q is 0.0 exactly.
+        if q > service:
+            busy += service
+            q -= service
+        else:
+            busy += q
+            q = 0.0
+        out[t] = q
     offered = float(arrivals.sum())
     return TraceQueueResult(
         mean_occupancy=float(occupancies.mean()) if n else math.nan,

@@ -22,7 +22,7 @@ def _stripped(result) -> str:
 class TestWorkerCountInvariance:
     # f1 (a kernel experiment) is covered, kernel counters included,
     # by tests/des/test_scheduler_matrix.py.
-    @pytest.mark.parametrize("exp_id", ["e14", "e1"])
+    @pytest.mark.parametrize("exp_id", ["e14", "e1", "e2"])
     def test_workers_1_vs_4_byte_identical(self, exp_id):
         serial = run_replicated(exp_id, replicas=3, workers=1)
         fanned = run_replicated(exp_id, replicas=3, workers=4)

@@ -164,6 +164,18 @@ class TestOnOff:
         with pytest.raises(ValueError):
             aggregate_onoff_trace(0, 100)
 
+    @pytest.mark.parametrize("alphas", [{"alpha_on": 0.9},
+                                        {"alpha_off": 1.0}])
+    def test_tail_index_checked_up_front(self, alphas):
+        with pytest.raises(ValueError, match="alpha must exceed 1"):
+            OnOffSource(**alphas)
+
+    def test_negative_slots_rejected(self):
+        with pytest.raises(ValueError, match="n_slots must be non-negative"):
+            aggregate_onoff_trace(2, -1)
+        with pytest.raises(ValueError, match="n_slots must be non-negative"):
+            OnOffSource().activity(-1)
+
 
 class TestMarkovian:
     def test_poisson_mean(self):

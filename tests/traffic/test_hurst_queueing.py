@@ -154,3 +154,14 @@ class TestTraceQueue:
             simulate_trace_queue([1.0], 0.0)
         with pytest.raises(ValueError):
             simulate_trace_queue([1.0], 1.0, buffer_size=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_work_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            simulate_trace_queue([1.0, bad, 2.0], 1.0)
+
+    def test_empty_trace(self):
+        result = simulate_trace_queue([], 1.0)
+        assert np.isnan(result.mean_occupancy)
+        assert np.isnan(result.survival([0.0, 5.0])).all()
+        assert result.survival([0.0, 5.0]).shape == (2,)

@@ -1,23 +1,31 @@
 """Vectorised traffic code against the per-element loops it replaces.
 
-``rs_hurst`` computes every block of one size row-wise in numpy, and
-``OnOffSource.activity`` fills the fully covered slots of an ON period
-with one slice.  Each test keeps the straightforward loop as an oracle
-and requires bit-identical output.
+``rs_hurst`` computes every block of one size row-wise in numpy,
+``OnOffSource.activity`` draws its sojourns in chunks and fills slots
+with array operations, ``MMPP2.trace`` derives its state path from the
+switch uniforms and draws every count in one call, and
+``simulate_trace_queue`` runs the Lindley recursion on Python floats.
+Each test keeps the straightforward loop as an oracle and requires
+bit-identical output and, where a generator is involved, the same
+generator state afterwards.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.traffic import (
+    MMPP2,
     OnOffSource,
     aggregate_onoff_trace,
     fgn_trace,
     pareto_sojourns,
     poisson_trace,
     rs_hurst,
+    simulate_trace_queue,
 )
+from repro.traffic import onoff
 from repro.traffic.hurst import _block_sizes
 from repro.utils.rng import spawn_rng
 
@@ -68,6 +76,41 @@ def oracle_activity(source, n_slots):
                 rng, source.alpha_off, source.mean_off, 1)[0])
         on = not on
     return work
+
+
+def oracle_mmpp2_trace(mmpp, n_slots):
+    rng = mmpp._rng
+    counts = np.empty(n_slots)
+    high = rng.random() < mmpp.stationary_high_fraction()
+    switch_draws = rng.random(n_slots)
+    for t in range(n_slots):
+        rate = mmpp.rate_high if high else mmpp.rate_low
+        counts[t] = rng.poisson(rate)
+        if high:
+            if switch_draws[t] < mmpp.p_hl:
+                high = False
+        elif switch_draws[t] < mmpp.p_lh:
+            high = True
+    return counts
+
+
+def oracle_queue(arrivals, service_per_slot, buffer_size):
+    arrivals = np.asarray(arrivals, dtype=float)
+    n = arrivals.size
+    occupancies = np.empty(n)
+    q = lost = busy = 0.0
+    for t in range(n):
+        q += arrivals[t]
+        if q > buffer_size:
+            lost += q - buffer_size
+            q = buffer_size
+        drained = min(q, service_per_slot)
+        busy += drained
+        q -= drained
+        occupancies[t] = q
+    offered = float(arrivals.sum())
+    loss = lost / offered if offered > 0 else 0.0
+    return occupancies, loss, busy / (service_per_slot * n)
 
 
 def assert_same_rs(x):
@@ -137,9 +180,26 @@ class TestActivityMatchesSlotLoop:
                                mean_on=mean_on, mean_off=mean_off,
                                peak_rate=peak_rate, seed=seed)
 
-        expected = oracle_activity(source(), n_slots)
-        got = source().activity(n_slots)
-        assert got.tobytes() == expected.tobytes()
+        oracle, batched = source(), source()
+        for _ in range(2):
+            # The second call starts where the first left the generator.
+            expected = oracle_activity(oracle, n_slots)
+            got = batched.activity(n_slots)
+            assert got.tobytes() == expected.tobytes()
+            assert batched._rng.bit_generator.state == \
+                oracle._rng.bit_generator.state
+
+    @pytest.mark.parametrize("chunk", [1, 4, 5])
+    def test_small_chunks(self, monkeypatch, chunk):
+        # Many chunks per call, odd sizes flip the phase between them.
+        monkeypatch.setattr(onoff, "_CHUNK", chunk)
+        for seed in range(4):
+            oracle = OnOffSource(mean_on=0.4, mean_off=2.0, seed=seed)
+            batched = OnOffSource(mean_on=0.4, mean_off=2.0, seed=seed)
+            expected = oracle_activity(oracle, 120)
+            assert batched.activity(120).tobytes() == expected.tobytes()
+            assert batched._rng.bit_generator.state == \
+                oracle._rng.bit_generator.state
 
     def test_long_period_cut_at_horizon(self):
         # An ON period far longer than the horizon starting at slot 0.
@@ -147,3 +207,53 @@ class TestActivityMatchesSlotLoop:
         oracle = OnOffSource(mean_on=1e6, mean_off=1e-3, seed=1)
         assert source.activity(50).tobytes() == \
             oracle_activity(oracle, 50).tobytes()
+
+
+# -- MMPP2 ---------------------------------------------------------------
+class TestMmppMatchesSlotLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 600),
+           st.sampled_from([0.0, 0.4, 3.0, 25.0]),
+           st.sampled_from([0.0, 1.0, 12.0]),
+           st.sampled_from([0.01, 0.05, 0.5, 1.0]),
+           st.sampled_from([0.01, 0.2, 0.7, 1.0]),
+           st.integers(0, 2**16))
+    def test_trace(self, n_slots, rate_low, rate_high, p_lh, p_hl, seed):
+        # p = 1 switches every slot; p_lh == p_hl toggles or keeps.
+        def mmpp():
+            return MMPP2(rate_low=rate_low, rate_high=rate_high,
+                         p_low_to_high=p_lh, p_high_to_low=p_hl,
+                         seed=seed)
+
+        oracle, batched = mmpp(), mmpp()
+        expected = oracle_mmpp2_trace(oracle, n_slots)
+        got = batched.trace(n_slots)
+        assert got.tobytes() == expected.tobytes()
+        assert batched._rng.bit_generator.state == \
+            oracle._rng.bit_generator.state
+
+
+# -- trace queue -----------------------------------------------------------
+class TestQueueMatchesSlotLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2000), st.floats(0.2, 30.0),
+           st.sampled_from([0.5, 3.0, 40.0, float("inf")]),
+           st.integers(0, 2**16))
+    def test_queue(self, n, service, buffer_size, seed):
+        rng = spawn_rng(seed, "queue-oracle")
+        # Idle slots, bursts above the buffer and exact-service slots.
+        trace = rng.choice([0.0, service, 2.5 * service, 0.3], size=n) \
+            * rng.random(n).round(1)
+        expected, loss, utilization = oracle_queue(trace, service,
+                                                   buffer_size)
+        result = simulate_trace_queue(trace, service, buffer_size)
+        assert result.occupancies.tobytes() == expected.tobytes()
+        assert result.loss_fraction == loss
+        assert result.utilization == utilization
+
+    def test_strided_trace(self):
+        trace = fgn_trace(4096, 0.8, 10.0, peakedness=0.4, seed=2)[::3]
+        expected, loss, _ = oracle_queue(trace, 11.0, 30.0)
+        result = simulate_trace_queue(trace, 11.0, buffer_size=30.0)
+        assert result.occupancies.tobytes() == expected.tobytes()
+        assert result.loss_fraction == loss
