@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Collection
 
 from repro.manet.network import ManetNetwork
 
@@ -131,6 +130,8 @@ class LifetimePredictionRouting(RoutingProtocol):
         graph = network.connectivity_graph()
         if src not in graph or dst not in graph:
             return None
+        if src == dst:  # no forwarding node to weigh
+            return [src]
 
         def bottleneck_lifetime(route: list[int]) -> float:
             # All forwarding nodes (and the receiver) must stay alive.
@@ -161,25 +162,20 @@ class LifetimePredictionRouting(RoutingProtocol):
 
 
 def _dijkstra_path(adjacency: dict[int, dict[int, float]], src: int,
-                   dst: int, banned: Collection[int] = (),
-                   banned_first_hops: Collection[int] = (),
-                   ) -> list[int] | None:
+                   dst: int) -> list[int] | None:
     """Least-weight ``src``→``dst`` path over a ``{u: {v: w}}``
-    adjacency that visits no ``banned`` node and does not leave ``src``
-    towards a ``banned_first_hops`` node, or ``None`` when there is
-    none.  Equal-distance ties go to the smaller node id."""
+    adjacency, or ``None`` when there is none.  Equal-distance ties go
+    to the smaller node id."""
     if src == dst:
         return [src]
-    done = set(banned)
-    done.add(src)
+    done = {src}
     dist: dict[int, float] = {}
     pred: dict[int, int] = {}
     heap = []
     for v, w in adjacency[src].items():
-        if v not in done and v not in banned_first_hops:
-            dist[v] = w
-            pred[v] = src
-            heap.append((w, v))
+        dist[v] = w
+        pred[v] = src
+        heap.append((w, v))
     heapq.heapify(heap)
     pop, push, inf = heapq.heappop, heapq.heappush, math.inf
     while heap:
@@ -202,6 +198,73 @@ def _dijkstra_path(adjacency: dict[int, dict[int, float]], src: int,
     return None
 
 
+def _distances_from(adjacency: dict[int, dict[int, float]],
+                    src: int) -> dict[int, float]:
+    """Least-weight distance from ``src`` to every node it reaches."""
+    dist = {src: 0.0}
+    done: set[int] = set()
+    heap = [(0.0, src)]
+    pop, push, inf = heapq.heappop, heapq.heappush, math.inf
+    while heap:
+        d, u = pop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for v, w in adjacency[u].items():
+            if v not in done:
+                nd = d + w
+                if nd < dist.get(v, inf):
+                    dist[v] = nd
+                    push(heap, (nd, v))
+    return dist
+
+
+def _spur_path(adjacency: dict[int, dict[int, float]],
+               to_dst: dict[int, float], root: list[int], dst: int,
+               banned_first_hops: set[int]) -> list[int] | None:
+    """A* search for the least-weight path from ``root[-1]`` to ``dst``
+    that visits no other ``root`` node and does not leave ``root[-1]``
+    towards a ``banned_first_hops`` node, or ``None`` when there is
+    none.
+
+    ``to_dst`` maps each node to its unrestricted distance to ``dst``;
+    a node missing from it cannot reach ``dst`` and is never queued.
+    Equal ``g + h`` ties go to the smaller node id."""
+    src = root[-1]
+    done = set(root)
+    dist: dict[int, float] = {}
+    pred: dict[int, int] = {}
+    heap = []
+    for v, w in adjacency[src].items():
+        if v not in done and v not in banned_first_hops and v in to_dst:
+            dist[v] = w
+            pred[v] = src
+            heap.append((w + to_dst[v], v))
+    heapq.heapify(heap)
+    pop, push, inf = heapq.heappop, heapq.heappush, math.inf
+    while heap:
+        __, u = pop(heap)
+        if u in done:
+            continue
+        if u == dst:
+            path = [dst]
+            while path[-1] != src:
+                path.append(pred[path[-1]])
+            return path[::-1]
+        done.add(u)
+        d = dist[u]
+        for v, w in adjacency[u].items():
+            if v not in done:
+                nd = d + w
+                if nd < dist.get(v, inf):
+                    h = to_dst.get(v)
+                    if h is not None:
+                        dist[v] = nd
+                        pred[v] = u
+                        push(heap, (nd + h, v))
+    return None
+
+
 def _k_shortest_paths(adjacency: dict[int, dict[int, float]], src: int,
                       dst: int, k: int) -> list[list[int]]:
     """Up to ``k`` loopless ``src``→``dst`` paths in increasing total
@@ -210,40 +273,60 @@ def _k_shortest_paths(adjacency: dict[int, dict[int, float]], src: int,
     A path's cost is the sum of its edge weights along the path.
     Candidates pop in cost order, ties by discovery order, and each
     simple path is offered once.
+
+    Two changes to plain Yen search less for the same paths:
+
+    * **Lawler's restriction.**  Each candidate records its deviation
+      index ``i``: it was found by spurring at ``path[i - 1]`` and
+      shares ``path[:i]`` with its parent (the first path has index
+      1).  Every queued candidate is then the cheapest path of its
+      own set — paths that start with its root and whose next hop no
+      path accepted at its discovery took — and these sets are
+      disjoint and, with the accepted paths, cover every simple path.
+      Accepting a path splits its set by the position where a path
+      first leaves it, at or after the deviation index, so only those
+      spurs are searched.  A spur at an earlier index would search a
+      set already covered by the parent's and the accepted siblings'
+      spurs.  Disjoint sets also mean no candidate is found twice.
+    * **A* spur searches.**  One Dijkstra from ``dst`` gives each
+      node's unrestricted distance to ``dst`` (the adjacency is
+      symmetric).  A spur search only removes nodes and edges, so that
+      distance never overestimates what is left (admissible), and
+      ``h(u) <= w(u, v) + h(v)`` holds on every edge by the triangle
+      inequality of shortest distances (consistent).  A* on ``g + h``
+      therefore settles each node at its least restricted distance,
+      as Dijkstra does, and returns a least-weight spur (the one
+      Dijkstra finds, when it is unique) while expanding mostly nodes
+      on the way to ``dst``.
     """
     first = _dijkstra_path(adjacency, src, dst)
     if first is None:
         return []
+    to_dst = _distances_from(adjacency, dst)
 
     def cost(path: list[int]) -> float:
         return sum(adjacency[a][b] for a, b in zip(path, path[1:]))
 
     accepted: list[list[int]] = []
-    heap = [(cost(first), 0, first)]
-    queued = {tuple(first)}
+    heap = [(cost(first), 0, 1, first)]
     counter = 1
     while heap:
-        __, __, path = heapq.heappop(heap)
-        queued.discard(tuple(path))
+        __, __, deviation, path = heapq.heappop(heap)
         accepted.append(path)
         if len(accepted) == k:
             break
-        # Spur off every prefix of the newest path: the spur may not
+        # Spur off every prefix from the deviation on: the spur may not
         # revisit the prefix, nor take the next hop an accepted path
         # with the same prefix already took.  (Yen bans those edges;
         # all of them leave the spur node, so banning the hop suffices.)
-        for i in range(1, len(path)):
+        for i in range(deviation, len(path)):
             root = path[:i]
             taken = {other[i] for other in accepted if other[:i] == root}
-            spur = _dijkstra_path(adjacency, root[-1], dst,
-                                  set(root[:-1]), taken)
-            if spur is None:
-                continue
-            candidate = root[:-1] + spur
-            key = tuple(candidate)
-            if key not in queued:
-                queued.add(key)
-                heapq.heappush(heap, (cost(candidate), counter, candidate))
+            spur = _spur_path(adjacency, to_dst, root, dst, taken)
+            if spur is not None:
+                candidate = root[:-1] + spur
+                heapq.heappush(
+                    heap, (cost(candidate), counter, i, candidate))
                 counter += 1
     return accepted
 

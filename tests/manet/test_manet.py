@@ -202,6 +202,11 @@ class TestRoutingProtocols:
         for cls in PROTOCOLS:
             assert cls().find_route(network, 0, 1) is None
 
+    def test_route_to_self_is_the_source(self):
+        network = line_network()
+        for cls in PROTOCOLS:
+            assert cls().find_route(network, 3, 3) == [3]
+
     def test_dead_endpoint_returns_none(self):
         network = line_network()
         network.node(0).consume(100.0)
